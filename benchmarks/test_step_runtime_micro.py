@@ -1,12 +1,15 @@
 """Step-runtime micro-benchmark: per-rank drive loop vs batched runtime.
 
-The :class:`repro.runtime.StepRuntime` replaces the per-rank
-``policy.route()`` Python loops every driver used to carry.  This benchmark
-measures exactly what that refactor bought: the wall-clock of the routing
-front half (``route`` + PFT construction for all ranks, the stages the
-runtime batches) under the sequential per-rank loop vs the rank-batched
-path, at EP group sizes 8 and 32 (one and four Frontier nodes), plus the
-full ``run_step`` time (plan + dispatch + combine included) for context.
+The :class:`repro.runtime.StepRuntime` routes every rank through one
+``route_batch`` and one ``RoutingDecision.to_pfts`` call.  This benchmark
+measures what that batching buys: the wall-clock of the routing front half
+(routing + PFT construction for all ranks) under a per-rank loop vs the
+rank-batched path, at EP group sizes 8 and 32 (one and four Frontier
+nodes), plus the full ``run_step`` time (plan + dispatch + combine
+included) for context.  The per-rank loop is the routing/PFT oracle in
+``tests/helpers.py`` — the per-rank code the batched path replaced — not
+the batched path called once per rank (``R=1`` calls carry the batched
+path's fixed per-call cost and would flatter the ratio).
 
 Outputs are checked **bit-identical** between the two paths before any
 timing is trusted, and the batched path must beat the per-rank loop by
@@ -29,8 +32,9 @@ from conftest import print_table, write_record
 
 from repro.comm import CommWorld
 from repro.routing import make_dispatcher, make_policy
-from repro.routing.policies import skewed_router_tokens
+from repro.routing.policies import RoutingDecision, skewed_router_tokens
 from repro.runtime import StepRuntime
+from tests.helpers import reference_pft, reference_route
 
 EP_SIZES = (8, 32)  # 1 and 4 Frontier nodes (8 GCDs each)
 # One expert per rank (the dispatch-plan micro-benchmark's convention) and
@@ -80,13 +84,21 @@ def _workload(ep: int):
 
 
 def _per_rank_loop(policy, capacity, hidden, step=0):
-    """The drive loop every workload used before the step runtime."""
+    """Route and build PFTs one rank at a time (the oracle's per-rank code)."""
     decisions, pfts = [], []
     for batch in hidden:
-        decision = policy.route(batch, step=step)
+        decision = reference_route(policy, batch, step)
         decisions.append(decision)
-        pfts.append(decision.to_pft(capacity))
+        pfts.append(reference_pft(decision, capacity))
     return decisions, pfts
+
+
+def _batched(runtime, hidden, step=0):
+    """The runtime's front half: one ``route_batch`` + one ``to_pfts``."""
+    decisions = runtime.policy.route_batch(
+        hidden, step=step, workspace=runtime.workspace
+    )
+    return decisions, RoutingDecision.to_pfts(decisions, runtime.capacity)
 
 
 def _assert_bit_identical(seq, bat):
@@ -117,12 +129,12 @@ def test_step_runtime_micro():
 
         # Correctness first: the batched path must be bit-identical.
         _assert_bit_identical(
-            _per_rank_loop(policy, capacity, hidden), runtime.route(hidden, step=0)
+            _per_rank_loop(policy, capacity, hidden), _batched(runtime, hidden)
         )
 
-        runtime.route(hidden, step=0)  # warm the workspace buffers
+        _batched(runtime, hidden)  # warm the workspace buffers
         loop_s, _ = _time(lambda: _per_rank_loop(policy, capacity, hidden))
-        batched_s, _ = _time(lambda: runtime.route(hidden, step=0))
+        batched_s, _ = _time(lambda: _batched(runtime, hidden))
         step_s, _ = _time(lambda: runtime.run_step(hidden, step=0), repeats=3)
 
         assignments = ep * TOKENS_PER_RANK * TOP_K

@@ -51,7 +51,7 @@ def policy_load_balance_table(
             weight=weight,
             seed=seed,
         )
-        decision = policy.route(hidden, step=0)
+        decision = policy.route_batch([hidden], step=0)[0]
         load = decision.expert_load()
         mean = max(1e-12, float(load.mean()))
         rows.append(

@@ -69,21 +69,15 @@ class MegablocksDispatcher:
         return self.gate.parameters() + self.experts.parameters()
 
     # ------------------------------------------------------------------
-    def plan(self, top_experts: np.ndarray) -> tuple[np.ndarray, np.ndarray, BlockPaddingStats]:
-        """Sort ``[S, k]`` assignments by expert and compute block padding.
-
-        Returns ``(sorted_token_idx, sorted_expert_idx, stats)``.
-        """
-        s, k = top_experts.shape
-        token_idx = np.repeat(np.arange(s, dtype=np.int64), k)
-        expert_idx = top_experts.reshape(-1).astype(np.int64)
-        return self.plan_assignments(token_idx, expert_idx)
-
     def plan_assignments(
         self, token_idx: np.ndarray, expert_idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, BlockPaddingStats]:
-        """Assignment-level :meth:`plan`: works for any router policy,
-        including expert-choice routing's non-rectangular selections."""
+        """Sort assignments by expert and compute block padding.
+
+        Works for any router policy, including expert-choice routing's
+        non-rectangular selections.  Returns ``(sorted_token_idx,
+        sorted_expert_idx, stats)``.
+        """
         order = np.argsort(expert_idx, kind="stable")
         token_idx = token_idx[order]
         expert_idx = expert_idx[order]
@@ -105,17 +99,13 @@ class MegablocksDispatcher:
         gate_out = self.gate(tokens, step=self._step)
         self._step += 1
         s, h = tokens.shape
-        if gate_out.decision is not None:
-            # Megablocks itself never drops, but policy-level drops (switch
-            # top-1's capacity rule) are routing decisions made upstream of
-            # any dispatcher, so they are respected here too.  Empty for the
-            # default policy, keeping the legacy path bit-identical.
-            keep = ~gate_out.decision.dropped
-            token_idx, expert_idx, stats = self.plan_assignments(
-                gate_out.decision.token_ids[keep], gate_out.decision.expert_ids[keep]
-            )
-        else:
-            token_idx, expert_idx, stats = self.plan(gate_out.top_experts)
+        # Megablocks itself never drops, but policy-level drops (switch
+        # top-1's capacity rule) are routing decisions made upstream of any
+        # dispatcher, so they are respected here too.
+        keep = ~gate_out.decision.dropped
+        token_idx, expert_idx, stats = self.plan_assignments(
+            gate_out.decision.token_ids[keep], gate_out.decision.expert_ids[keep]
+        )
         self.last_stats = stats
 
         counts = np.bincount(expert_idx, minlength=self.gate.num_experts)

@@ -108,7 +108,7 @@ class GateOutput:
     top_scores: np.ndarray
     drop_eligible: np.ndarray
     aux_loss: Tensor
-    decision: RoutingDecision | None = None
+    decision: RoutingDecision
 
 
 class TopKGate:
@@ -167,7 +167,7 @@ class TopKGate:
             self._auto_step += 1
         logits = tokens @ self.weight
         probs = ops.softmax(logits, axis=-1)
-        decision = self.policy.decide(logits.data, step=step, probs=probs.data)
+        decision = self.policy.decide_batch(logits.data[None], step=step)[0]
 
         # The drop-eligibility invariant, asserted in exactly one place (see
         # GateOutput.drop_eligible): late-dropping policies must not mark

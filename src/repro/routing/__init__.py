@@ -12,16 +12,16 @@ front of their experts", split into two orthogonal layers:
     capacity-factor dropping, noisy top-k with z-loss, and expert-choice
     routing (experts pick tokens; load balance by construction).  Policies
     are the *experimental axis*: swap one in via ``ModelConfig.router``,
-    `make_policy`, or the ``--router`` CLI flag.  Every policy also has a
-    rank-batched path (``route_batch`` / ``decide_batch``): one stacked
-    projection + vectorized selection for a whole EP group, bit-identical
-    to per-rank ``route`` calls — the hot path of
-    :class:`repro.runtime.StepRuntime`.
+    `make_policy`, or the ``--router`` CLI flag.  Every policy routes
+    through one rank-batched path (``route_batch`` / ``decide_batch``): one
+    stacked projection + vectorized selection for a whole EP group (a
+    single rank is ``R=1``; ragged ranks are grouped by row count) — the
+    path behind :class:`repro.runtime.StepRuntime` and the gate alike.
 
 **Planners + engine — how the decision is executed**
     (:mod:`repro.routing.plan`, :mod:`repro.routing.planner`,
     :mod:`repro.routing.engine`)
-    A decision becomes a PFT (``RoutingDecision.to_pft``), per-rank PFTs are
+    Decisions become PFTs (``RoutingDecision.to_pfts``), per-rank PFTs are
     compiled by :class:`FlatPlanner` (single uneven all-to-all; the
     correctness oracle) or :class:`RBDPlanner` (two-stage
     redundancy-bypassing dispatch) into a :class:`DispatchPlan` — all

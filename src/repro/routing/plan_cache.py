@@ -33,8 +33,8 @@ cheap without changing a single output bit:
      falls through);
   3. **incremental structural patch** — a small fraction of assignments
      re-routed: unchanged ranks keep their PFTs (weights re-gathered),
-     changed ranks rebuild via the per-rank ``RoutingDecision.to_pft``
-     (bit-identical to the batched builder by PR 5's property tests), and
+     changed ranks rebuild together through one
+     ``RoutingDecision.to_pfts`` call (the builder a cold build uses), and
      the plan recompiles from the patched tables through the planner's own
      compile path — bit-identity by construction, never by re-derivation;
   4. **cold build** — the exact fallback whenever the delta is large or
@@ -772,11 +772,13 @@ class PlanCache:
         Returns the patched per-rank PFT list, or ``None`` when the delta
         exceeds the threshold (the caller falls back to a cold build).
         Unchanged ranks keep their PFT structure (weights re-gathered from
-        the new scores); changed ranks rebuild through the per-rank
-        ``to_pft`` — the exact code the batched builder is property-tested
-        against — so the patched tables are bit-identical to a cold build
-        by construction.
+        the new scores); changed ranks rebuild through one ``to_pfts`` call
+        — the builder a cold build runs, and each rank's PFT depends only
+        on its own decision — so the patched tables are bit-identical to a
+        cold build by construction.
         """
+        from repro.routing.policies import RoutingDecision
+
         kept_idx = np.flatnonzero(~sig.dropped)
         new_keys = np.sort(sig.keys[kept_idx])
         old_keys = previous.kept_sorted_keys
@@ -789,8 +791,9 @@ class PlanCache:
         prev_sig = previous.sig
         if len(previous.pfts) != len(decisions):
             return None
-        pfts = []
-        for r, decision in enumerate(decisions):
+        pfts: list[PFT | None] = []
+        changed: list[int] = []
+        for r in range(len(decisions)):
             lo, hi = sig.rank_offsets[r], sig.rank_offsets[r + 1]
             plo, phi = prev_sig.rank_offsets[r], prev_sig.rank_offsets[r + 1]
             unchanged = (
@@ -818,5 +821,9 @@ class PlanCache:
                     )
                 )
             else:
-                pfts.append(decision.to_pft(capacity))
+                pfts.append(None)
+                changed.append(r)
+        rebuilt = RoutingDecision.to_pfts([decisions[r] for r in changed], capacity)
+        for r, pft in zip(changed, rebuilt):
+            pfts[r] = pft
         return pfts

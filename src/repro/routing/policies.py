@@ -23,28 +23,34 @@ Four policies ship with the repo:
   balanced *by construction* (never more than one token apart).
 
 Determinism mirrors the planners: every noisy policy derives a fresh
-generator from ``(seed, step)`` on each :meth:`RouterPolicy.route` call, so
-the same ``(seed, step)`` always produces the same decision and there is no
-hidden RNG state mutating across calls.
+generator from ``(seed, step)`` on each :meth:`RouterPolicy.decide_batch`
+call, so the same ``(seed, step)`` always produces the same decision and
+there is no hidden RNG state mutating across calls.
 
-Rank-batched routing
---------------------
-:meth:`RouterPolicy.route_batch` routes *every rank's* batch in one call:
-one stacked ``(num_ranks * tokens, hidden)`` projection, one softmax, one
-vectorized top-k — instead of ``num_ranks`` separate :meth:`route` calls.
-Each policy's :meth:`decide_batch` vectorizes its selection across the rank
-axis while drawing exploration noise from the *same* fresh ``(seed, step)``
-stream a per-rank :meth:`route` call would use, so the per-rank decisions
-are **bit-identical** to the sequential loop (property-tested in
-``tests/test_step_runtime.py``).  :meth:`RoutingDecision.to_pfts` is the
-matching batched PFT compiler: all ranks' PFTs from the stacked assignment
-arrays in one argsort/bincount pass.  The
-:class:`~repro.runtime.StepRuntime` drives both.
+One routing path
+----------------
+:meth:`RouterPolicy.route_batch` is the only way hidden states become
+decisions, and a single rank is simply ``R=1``.  It stacks the per-rank
+``[S, H]`` batches into one ``[R, S, H]`` block, projects it with one
+matmul, and hands the ``[R, S, E]`` logits to the policy's
+:meth:`~RouterPolicy.decide_batch`, which vectorizes softmax, top-k,
+capacity drops and losses across the rank axis.  Ragged batches (serving
+slots hold 0, 1 or many rows) are grouped by row count: one stacked
+projection and one :meth:`decide_batch` per group, decisions returned in
+rank order.  Each group draws exploration noise from the same fresh
+``(seed, step)`` generator, so a rank's decision never depends on which
+other ranks share its call.  ``tests/helpers.py`` keeps a short per-rank
+oracle of every policy, and ``tests/test_step_runtime.py`` checks the
+batched path against it bit for bit, ragged and 0-row ranks included.
+:meth:`RoutingDecision.to_pfts` is the matching PFT compiler: all ranks'
+PFTs from the stacked assignment arrays in one argsort/bincount pass.  The
+gate (:class:`repro.moe.gating.TopKGate`) and the
+:class:`~repro.runtime.StepRuntime` drive the same two calls.
 
 Dropped tokens and bit-exact combine
 ------------------------------------
 A policy marks dropped assignments in ``RoutingDecision.dropped``;
-:meth:`RoutingDecision.to_pft` filters them out *before* planning, so a
+:meth:`RoutingDecision.to_pfts` filters them out *before* planning, so a
 dropped token simply never enters the :class:`~repro.routing.plan.DispatchPlan`
 and its combine output row stays exactly zero (the combine scatter starts
 from a zero buffer).  Because flat and RBD plans share the canonical fold
@@ -61,7 +67,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.routing.telemetry import load_balance_entropy
-from repro.tensor.ops import topk as _topk
 
 
 def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -148,10 +153,9 @@ def _segmented_capacity_drop(
     """Drop mask keeping only each segment's ``capacity`` best scores.
 
     Segments are ranked by descending score with ties broken by original
-    position (stable sort), the same rule PFT construction applies.  Used
-    with per-expert segments by :class:`SwitchTop1Policy` and with
-    per-(rank, expert) composite segments by its rank-batched path — the
-    composite keying makes the batched mask bit-identical to per-rank calls.
+    position (stable sort), the same rule PFT construction applies.
+    :class:`SwitchTop1Policy` keys segments by composite ``rank * E +
+    expert``, so one pass drops every rank's overflow independently.
     """
     order = np.lexsort((-scores, segment_key))
     sorted_key = segment_key[order]
@@ -163,20 +167,11 @@ def _segmented_capacity_drop(
     return drop
 
 
-def _z_loss(logits: np.ndarray) -> float:
-    """Router z-loss: mean squared log-partition (keeps logits small)."""
-    if logits.size == 0:
-        return 0.0
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
-    return float(np.mean(lse**2))
-
-
 def _batched_z_loss(logits: np.ndarray) -> np.ndarray:
-    """Per-rank z-loss over stacked ``[R, S, E]`` logits, one vector pass.
+    """Per-rank router z-loss over stacked ``[R, S, E]`` logits.
 
-    Row-local like everything else on the batched path: each rank's entry
-    equals ``_z_loss(logits[r])`` bit for bit.
+    The z-loss is the mean squared log-partition of a rank's logits (it
+    keeps them small); one vector pass covers every rank.
     """
     r = logits.shape[0]
     if logits.size == 0:
@@ -193,8 +188,9 @@ def _batched_aux_loss(
 
     ``probs`` is ``[R, S, E]`` and ``expert_ids`` any ``[R, ...]`` integer
     selection; the per-expert counts of all ranks come from a single
-    bincount over composite ``rank * E + expert`` keys.  Each entry equals
-    ``_PolicyBase._aux_loss(probs[r], expert_ids[r])`` bit for bit.
+    bincount over composite ``rank * E + expert`` keys.  Each entry is
+    ``E * sum_e(f_e * P_e)``, the same formula as ``TopKGate``'s
+    differentiable loss.
     """
     r, s, e = probs.shape
     offsets = np.arange(r, dtype=np.int64) * e
@@ -247,41 +243,6 @@ class RoutingDecision:
     drop_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_topk(
-        cls,
-        top_experts: np.ndarray,
-        top_scores: np.ndarray,
-        drop_mask: np.ndarray,
-        *,
-        num_experts: int,
-        probs: np.ndarray,
-        aux_loss: float,
-        z_loss: float,
-    ) -> "RoutingDecision":
-        """Flatten a rectangular ``[S, k]`` selection, row-major.
-
-        The flattening order matches ``repro.xmoe.pft._flatten_assignments``
-        exactly, which is what keeps the default policy's PFTs bit-identical
-        to the legacy ``build_pft`` path.
-        """
-        s, k = top_experts.shape
-        return cls(
-            num_tokens=s,
-            num_experts=num_experts,
-            token_ids=np.repeat(np.arange(s, dtype=np.int64), k),
-            expert_ids=top_experts.reshape(-1).astype(np.int64),
-            scores=top_scores.reshape(-1).astype(np.float64),
-            dropped=drop_mask.reshape(-1).astype(bool),
-            probs=probs,
-            aux_loss=aux_loss,
-            z_loss=z_loss,
-            top_experts=top_experts,
-            top_scores=top_scores,
-            drop_mask=drop_mask,
-        )
-
-    # ------------------------------------------------------------------
     @property
     def num_assignments(self) -> int:
         """Total (token, expert) assignments, dropped ones included."""
@@ -310,41 +271,21 @@ class RoutingDecision:
         return load_balance_entropy(self.expert_load())
 
     # ------------------------------------------------------------------
-    def to_pft(self, max_token_count: int | None = None):
-        """Compile the surviving assignments into a planner-ready PFT.
-
-        Policy-dropped assignments are filtered here, *before* planning, so
-        they never enter a :class:`~repro.routing.plan.DispatchPlan`: a fully
-        dropped token's combine output row stays exactly zero on both the
-        flat and the RBD path.  ``max_token_count`` additionally applies the
-        standard capacity-only rule of PFT construction (pass ``None`` for
-        no capacity cap).
-        """
-        from repro.xmoe.pft import build_pft_flat
-
-        keep = ~self.dropped
-        return build_pft_flat(
-            max_token_count if max_token_count is not None else 2**62,
-            self.token_ids[keep],
-            self.expert_ids[keep],
-            self.scores[keep],
-            self.num_experts,
-            self.num_tokens,
-        )
-
     @staticmethod
     def to_pfts(
         decisions: "list[RoutingDecision]", max_token_count: int | None = None
     ) -> list:
-        """Compile every rank's decision into PFTs in one batched pass.
+        """Compile every rank's decision into planner-ready PFTs, one pass.
 
-        The rank-batched counterpart of :meth:`to_pft`: the surviving
-        (policy-kept) assignments of all ranks are stacked — tagged with
-        their rank id — and handed to
+        Policy-dropped assignments are filtered here, *before* planning, so
+        they never enter a :class:`~repro.routing.plan.DispatchPlan`: a
+        fully dropped token's combine output row stays exactly zero on both
+        the flat and the RBD path.  The surviving assignments of all ranks
+        are stacked — tagged with their rank id — and handed to
         :func:`repro.xmoe.pft.build_pft_flat_batched`, which applies the
-        capacity rule and the canonical (expert, token) ordering for every
-        rank in one argsort/bincount pass.  Output is bit-identical to
-        calling :meth:`to_pft` rank by rank.
+        capacity rule (``max_token_count``; ``None`` for no cap) and the
+        canonical (expert, token) ordering for every rank at once.  A
+        single decision is ``to_pfts([decision])[0]``.
         """
         from repro.xmoe.pft import build_pft_flat_batched
 
@@ -404,25 +345,6 @@ class RouterPolicy(Protocol):
     num_experts: int
     drops_early: bool
 
-    def route(self, hidden: np.ndarray, step: int | None = None) -> RoutingDecision:
-        """Route ``[S, H]`` hidden states (uses the policy's own weight)."""
-        ...
-
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Route from precomputed ``[S, E]`` logits (gate-driven path).
-
-        ``probs`` optionally passes the caller's already-computed softmax of
-        ``logits`` so noise-free policies skip recomputing it; noisy
-        policies ignore it (their softmax runs over perturbed logits).
-        """
-        ...
-
     def route_batch(
         self,
         per_rank_hidden: list[np.ndarray],
@@ -430,13 +352,17 @@ class RouterPolicy(Protocol):
         *,
         workspace=None,
     ) -> list[RoutingDecision]:
-        """Route every rank's ``[S, H]`` batch with one stacked projection."""
+        """Route every rank's ``[S, H]`` batch (uses the policy's own weight)."""
         ...
 
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
-        """Route from stacked ``[R, S, E]`` logits, one decision per rank."""
+        """Route from stacked ``[R, S, E]`` logits, one decision per rank.
+
+        The gate-driven entry point: :class:`repro.moe.gating.TopKGate`
+        passes its own ``[1, S, E]`` logits.
+        """
         ...
 
 
@@ -475,29 +401,14 @@ class _PolicyBase:
             return np.random.default_rng(self.seed)
         return np.random.default_rng((self.seed, int(step)))
 
-    def route(self, hidden: np.ndarray, step: int | None = None) -> RoutingDecision:
-        """Project hidden states through the router weight and decide."""
-        if self.weight is None:
-            raise ValueError(
-                f"{type(self).__name__} has no router weight; construct it with "
-                "weight=/rng= or drive it from a gate's logits via decide()"
-            )
-        hidden = np.asarray(hidden, dtype=np.float64)
-        if hidden.ndim != 2 or hidden.shape[1] != self.hidden_size:
-            raise ValueError(f"expected [S, {self.hidden_size}] hidden, got {hidden.shape}")
-        return self.decide(hidden @ self.weight, step=step)
+    @staticmethod
+    def _stacked(logits: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+        """``(logits, R, S, E)`` for a stacked ``[R, S, E]`` logits block."""
+        logits = np.asarray(logits, dtype=np.float64)
+        if logits.ndim != 3:
+            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
+        return (logits, *logits.shape)
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Route from precomputed logits (implemented per policy)."""
-        raise NotImplementedError
-
-    # -- rank-batched path ---------------------------------------------
     def route_batch(
         self,
         per_rank_hidden: list[np.ndarray],
@@ -505,26 +416,26 @@ class _PolicyBase:
         *,
         workspace=None,
     ) -> list[RoutingDecision]:
-        """Route every rank's batch through one stacked router projection.
+        """Route every rank's batch through stacked router projections.
 
-        The hot path of the :class:`~repro.runtime.StepRuntime`: the
-        per-rank ``[S, H]`` batches are stacked into one
-        ``(num_ranks * S, hidden)`` block and projected with a single
-        matmul, then :meth:`decide_batch` runs the policy's selection
-        vectorized across the rank axis.  Output is bit-identical to
-        calling :meth:`route` once per rank.
+        The only routing entry point; one rank is ``R=1``.  Ranks are
+        grouped by row count.  Each group's ``[S, H]`` batches are stacked
+        into one ``[R_g, S, H]`` block, projected with a single matmul, and
+        :meth:`decide_batch` runs the policy's selection vectorized across
+        the group's ranks; the decisions come back in rank order.  A rank's
+        decision depends only on its own batch and ``(seed, step)``, never
+        on which ranks share the call.
 
         ``workspace`` optionally supplies reusable stacked buffers (any
         object with ``stacked_hidden(rows, cols)`` / ``stacked_logits(rows,
-        cols)`` — see :class:`repro.runtime.StepWorkspace`); without it the
-        stacked arrays are freshly allocated.  Ranks with unequal token
-        counts fall back to the sequential per-rank loop (the stacked
-        kernels need a rectangular block).
+        cols)`` — see :class:`repro.runtime.StepWorkspace`).  Only uniform
+        batches (a single group) project into them; the runtime's fused
+        warm path reuses the filled hidden buffer as its token stack.
         """
         if self.weight is None:
             raise ValueError(
                 f"{type(self).__name__} has no router weight; construct it with "
-                "weight=/rng= or drive it from a gate's logits via decide()"
+                "weight=/rng= or drive it from a gate's logits via decide_batch()"
             )
         arrays = [np.asarray(h, dtype=np.float64) for h in per_rank_hidden]
         for hidden in arrays:
@@ -534,13 +445,26 @@ class _PolicyBase:
                 )
         if not arrays:
             return []
-        tokens_per_rank = arrays[0].shape[0]
-        if any(h.shape[0] != tokens_per_rank for h in arrays):
-            return [self.route(h, step=step) for h in arrays]
-        num_ranks, rows = len(arrays), len(arrays) * tokens_per_rank
+        sizes = [h.shape[0] for h in arrays]
+        if len(set(sizes)) == 1:
+            return self._route_group(arrays, step, workspace)
+        decisions: list[RoutingDecision | None] = [None] * len(arrays)
+        for size in dict.fromkeys(sizes):
+            ranks = [r for r, s in enumerate(sizes) if s == size]
+            group = self._route_group([arrays[r] for r in ranks], step, None)
+            for r, decision in zip(ranks, group):
+                decisions[r] = decision
+        return decisions
+
+    def _route_group(
+        self, arrays: list[np.ndarray], step: int | None, workspace
+    ) -> list[RoutingDecision]:
+        """One stacked projection + :meth:`decide_batch` over equal-size batches."""
+        num_ranks, tokens = len(arrays), arrays[0].shape[0]
+        rows = num_ranks * tokens
         # One np.matmul over the stacked [R, S, H] block.  The batched axes
         # keep each rank's projection on the exact (S, H) @ (H, E) kernel a
-        # per-rank route() call hits, so the logits are bit-identical on any
+        # single-rank projection hits, so the logits are bit-identical on any
         # BLAS (a flattened (R*S, H) GEMM may pick a different kernel for
         # degenerate shapes and drift in the last ulp).
         if workspace is not None:
@@ -551,27 +475,13 @@ class _PolicyBase:
             stacked = np.concatenate(arrays, axis=0)
             out = np.empty((rows, self.num_experts))
         logits = np.matmul(
-            stacked.reshape(num_ranks, tokens_per_rank, self.hidden_size),
+            stacked.reshape(num_ranks, tokens, self.hidden_size),
             self.weight,
-            out=out.reshape(num_ranks, tokens_per_rank, self.num_experts),
+            out=out.reshape(num_ranks, tokens, self.num_experts),
         )
         return self.decide_batch(logits, step=step)
 
-    def decide_batch(
-        self, logits: np.ndarray, step: int | None = None
-    ) -> list[RoutingDecision]:
-        """Route from stacked ``[R, S, E]`` logits, one decision per rank.
-
-        The base implementation is the sequential fallback (one
-        :meth:`decide` per rank); the shipped policies override it with a
-        vectorized selection whose output is bit-identical.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        return [self.decide(logits[r], step=step) for r in range(logits.shape[0])]
-
-    def _from_topk_batch(
+    def _topk_decisions(
         self,
         probs: np.ndarray,
         top_experts: np.ndarray,
@@ -583,11 +493,11 @@ class _PolicyBase:
     ) -> list[RoutingDecision]:
         """Per-rank decisions from stacked ``[R*S, k]`` top-k arrays.
 
-        The batched counterpart of :meth:`RoutingDecision.from_topk`: one
-        dtype conversion, one composite-key bincount (aux losses), and one
-        vectorized z-loss cover every rank, so assembling R decisions costs
-        R dataclass constructions — not R rounds of numpy small-ops.  The
-        per-rank arrays are views into the stacked ones.
+        Each rank's ``[S, k]`` selection is flattened row-major (token-major
+        assignments).  One dtype conversion, one composite-key bincount (aux
+        losses), and one vectorized z-loss cover every rank, so assembling R
+        decisions costs R dataclass constructions — not R rounds of numpy
+        small-ops.  The per-rank arrays are views into the stacked ones.
         """
         e, k = self.num_experts, top_experts.shape[-1]
         probs3 = probs.reshape(r, s, e)
@@ -622,22 +532,6 @@ class _PolicyBase:
             for i in range(r)
         ]
 
-    def _scaled_z_loss(self, logits: np.ndarray) -> float:
-        """``z_loss_coef * z_loss``, skipping the logsumexp when coef is 0."""
-        if not self.z_loss_coef:
-            return 0.0
-        return self.z_loss_coef * _z_loss(logits)
-
-    # -- shared loss terms ---------------------------------------------
-    def _aux_loss(self, probs: np.ndarray, expert_ids: np.ndarray) -> float:
-        """Switch-Transformer balance loss (same formula as ``TopKGate``)."""
-        counts = np.bincount(
-            expert_ids.reshape(-1), minlength=self.num_experts
-        ).astype(np.float64)
-        fraction = counts / max(1, expert_ids.size)
-        mean_probs = probs.sum(axis=0) / max(1, probs.shape[0])
-        return float((mean_probs * fraction).sum() * (self.aux_loss_coef * self.num_experts))
-
 
 class SoftmaxTopKPolicy(_PolicyBase):
     """The paper's router: softmax over logits, top-k selection.
@@ -668,48 +562,18 @@ class SoftmaxTopKPolicy(_PolicyBase):
         self.score_threshold = score_threshold
         self.drops_early = bool(score_threshold)
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Softmax the logits and keep each token's top-k experts."""
-        logits = np.asarray(logits, dtype=np.float64)
-        if probs is None:
-            probs = _softmax(logits)
-        top_scores, top_experts = _topk(probs, self.top_k, axis=-1)
-        if self.score_threshold:
-            raw = np.take_along_axis(logits, top_experts, axis=-1)
-            drop_mask = raw < 0.0
-        else:
-            drop_mask = np.zeros_like(top_experts, dtype=bool)
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            drop_mask,
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(logits),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked softmax + top-k over all ranks' logits at once."""
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        r, s, e = logits.shape
+        logits, r, s, e = self._stacked(logits)
         flat = logits.reshape(r * s, e)
         probs, top_scores, top_experts = _stacked_softmax_topk(flat, self.top_k)
         if self.score_threshold:
             drop_mask = np.take_along_axis(flat, top_experts, axis=-1) < 0.0
         else:
             drop_mask = np.zeros_like(top_experts, dtype=bool)
-        return self._from_topk_batch(
+        return self._topk_decisions(
             probs, top_experts, top_scores, drop_mask, logits, r, s
         )
 
@@ -744,58 +608,18 @@ class SwitchTop1Policy(_PolicyBase):
         self.capacity_factor = capacity_factor
         self.eps = eps
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Pick each token's top-1 expert under noise, dropping overflow.
-
-        ``probs`` (the clean softmax) is unused: selection and combine
-        scores come from the softmax of the *noisy* logits.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        s = logits.shape[0]
-        noise = 1.0 - self.eps + self._rng(step).random(logits.shape) * (2.0 * self.eps)
-        noisy = logits * noise
-        probs = _softmax(noisy)
-        top_scores, top_experts = _topk(probs, 1, axis=-1)
-
-        # Capacity-factor dropping, decided here: rank each expert's tokens
-        # by score (the same rule PFT construction applies) and drop the
-        # overflow beyond ceil(c * S / E).
-        capacity = max(1, math.ceil(self.capacity_factor * s / self.num_experts))
-        drop_mask = _segmented_capacity_drop(
-            top_experts.reshape(-1), top_scores.reshape(-1), capacity, self.num_experts
-        )
-
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            drop_mask.reshape(top_experts.shape),
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(noisy),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked noisy top-1 with per-(rank, expert) capacity dropping.
 
-        The exploration noise is drawn once from the fresh ``(seed, step)``
-        generator a per-rank :meth:`decide` call would create and broadcast
-        across ranks — exactly the values every rank sees in the sequential
-        loop.  Capacity dropping runs over composite ``rank * E + expert``
-        segments so one lexsort/bincount pass covers every rank.
+        The exploration noise is drawn once from a fresh ``(seed, step)``
+        generator and broadcast across ranks, so every rank sees the same
+        values it would see routed alone.  Capacity dropping runs over
+        composite ``rank * E + expert`` segments so one lexsort/bincount
+        pass covers every rank.
         """
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        r, s, e = logits.shape
+        logits, r, s, e = self._stacked(logits)
         noise = 1.0 - self.eps + self._rng(step).random((s, e)) * (2.0 * self.eps)
         noisy = logits * noise[None, :, :]
         probs, top_scores, top_experts = _stacked_softmax_topk(
@@ -810,7 +634,7 @@ class SwitchTop1Policy(_PolicyBase):
         drop_mask = _segmented_capacity_drop(
             segment, top_scores.reshape(-1), capacity, r * self.num_experts
         )
-        return self._from_topk_batch(
+        return self._topk_decisions(
             probs, top_experts, top_scores, drop_mask.reshape(r * s, 1), noisy, r, s
         )
 
@@ -842,50 +666,21 @@ class NoisyTopKPolicy(_PolicyBase):
         self.top_k = top_k
         self.noise_std = noise_std
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Top-k selection over additively perturbed logits.
-
-        ``probs`` (the clean softmax) is unused: selection runs over the
-        perturbed logits.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        noisy = logits + self._rng(step).normal(0.0, self.noise_std, size=logits.shape)
-        probs = _softmax(noisy)
-        top_scores, top_experts = _topk(probs, self.top_k, axis=-1)
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            np.zeros_like(top_experts, dtype=bool),
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(noisy),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked noisy top-k: one perturbation draw, one top-k, all ranks.
 
-        As in the sequential loop, every rank's additive noise comes from a
-        fresh ``(seed, step)`` generator — drawn once here and broadcast.
+        Every rank's additive noise comes from a fresh ``(seed, step)``
+        generator — drawn once here and broadcast.
         """
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        r, s, e = logits.shape
+        logits, r, s, e = self._stacked(logits)
         noise = self._rng(step).normal(0.0, self.noise_std, size=(s, e))
         noisy = logits + noise[None, :, :]
         probs, top_scores, top_experts = _stacked_softmax_topk(
             noisy.reshape(r * s, e), self.top_k
         )
-        return self._from_topk_batch(
+        return self._topk_decisions(
             probs,
             top_experts,
             top_scores,
@@ -917,59 +712,17 @@ class ExpertChoicePolicy(_PolicyBase):
             raise ValueError(f"top_k={top_k} must be >= 1")
         self.top_k = top_k
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Let each expert take its top-``capacity`` tokens by probability."""
-        logits = np.asarray(logits, dtype=np.float64)
-        s, e = logits.shape
-        if probs is None:
-            probs = _softmax(logits)
-
-        budget = s * self.top_k
-        caps = np.full(e, budget // e, dtype=np.int64)
-        caps[: budget % e] += 1
-        np.minimum(caps, s, out=caps)
-
-        # Each expert's token ranking (ties broken by token id: stable sort).
-        order = np.argsort(-probs, axis=0, kind="stable")  # [S, E]
-        max_cap = int(caps.max()) if caps.size else 0
-        picked = order[:max_cap, :].T  # [E, max_cap], expert-major
-        mask = np.arange(max_cap)[None, :] < caps[:, None]
-        token_ids = picked[mask].astype(np.int64)
-        expert_ids = np.repeat(np.arange(e, dtype=np.int64), caps)
-        scores = probs[token_ids, expert_ids]
-
-        return RoutingDecision(
-            num_tokens=s,
-            num_experts=e,
-            token_ids=token_ids,
-            expert_ids=expert_ids,
-            scores=scores,
-            dropped=np.zeros(token_ids.size, dtype=bool),
-            probs=probs,
-            aux_loss=0.0,  # balance holds by construction
-            z_loss=self._scaled_z_loss(logits),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked expert choice: one token-axis argsort covers every rank.
 
         The per-expert token ranking runs as a single stable argsort along
-        the stacked token axis, so each (rank, expert) column sorts exactly
-        as in the sequential loop; capacities depend only on the (shared)
+        the token axis, so each (rank, expert) column sorts independently
+        (ties broken by token id); capacities depend only on the (shared)
         token count, so the same mask selects every rank's assignments.
         """
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        r, s, e = logits.shape
+        logits, r, s, e = self._stacked(logits)
         probs = _stacked_softmax(logits.reshape(r * s, e)).reshape(r, s, e)
 
         budget = s * self.top_k

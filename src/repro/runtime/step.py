@@ -1,24 +1,21 @@
 """The rank-batched step runtime: one vectorized drive loop for every workload.
 
-Before this module existed, every workload that wanted to push tokens
-through ``route → to_pft → plan → dispatch → run_experts → combine``
-re-implemented the same per-rank Python loop: call ``policy.route()`` once
-per rank, build each rank's PFT from scratch, then hand the lists to the
-dispatcher.  :class:`StepRuntime` replaces all of those loops with a single
-shared driver that executes the whole pipeline **for all ranks at once**:
+:class:`StepRuntime` pushes tokens through ``route_batch → to_pfts → plan →
+dispatch → run_experts → combine`` **for all ranks at once**:
 
 * routing runs through :meth:`~repro.routing.policies.RouterPolicy.route_batch`
   — one stacked ``(num_ranks * tokens, hidden)`` projection plus one
-  vectorized top-k instead of ``num_ranks`` separate calls;
+  vectorized top-k (ragged ranks: one per distinct row count);
 * PFT construction runs through
   :meth:`~repro.routing.policies.RoutingDecision.to_pfts` — every rank's
   capacity rule and canonical ordering in one argsort/bincount pass;
 * the plan build, dispatch, expert execution, and combine stages drive the
-  :class:`~repro.routing.engine.Dispatcher` protocol exactly as before.
+  :class:`~repro.routing.engine.Dispatcher` protocol.
 
-Both batched stages are bit-identical to the sequential per-rank loop
-(property-tested in ``tests/test_step_runtime.py``), so swapping a driver
-onto the runtime changes its wall-clock, never its outputs.
+These two calls are the repo's only routing and PFT code.  They are
+property-tested bit for bit against a per-rank oracle (``tests/helpers.py``)
+in ``tests/test_step_runtime.py``, so a rank's routing never depends on
+how many ranks share its step.
 
 :class:`StepWorkspace` owns the reusable stacked buffers (hidden block,
 router logits, and named scratch arenas) so steady-state steps stop
@@ -270,27 +267,10 @@ class StepRuntime:
         self.trace_hooks.append(hook)
 
     # ------------------------------------------------------------------
-    def route(
-        self, per_rank_hidden: list[np.ndarray], *, step: int | None = None
-    ) -> tuple[list[RoutingDecision], list]:
-        """The batched front half of a step: decisions and PFTs, all ranks.
-
-        Useful on its own when a caller only needs the routing artifacts
-        (the telemetry/trace hooks do **not** fire — they observe full
-        steps).
-        """
-        with obs.span("route_batch", "step"):
-            decisions = self.policy.route_batch(
-                per_rank_hidden, step=step, workspace=self.workspace
-            )
-        with obs.span("to_pfts", "step"):
-            pfts = RoutingDecision.to_pfts(decisions, self.capacity)
-        return decisions, pfts
-
     def run_step(
         self, per_rank_hidden: list[np.ndarray], *, step: int | None = None
     ) -> StepResult:
-        """Execute route → to_pft → plan → dispatch → experts → combine.
+        """Execute route_batch → to_pfts → plan → dispatch → experts → combine.
 
         ``per_rank_hidden`` holds one ``[S, H]`` batch per EP-group rank.
         Returns the per-rank combined outputs along with every intermediate
@@ -305,16 +285,17 @@ class StepRuntime:
             if not arrays:
                 raise ValueError("need at least one rank's hidden states")
 
+            with obs.span("route_batch", "step"):
+                decisions = self.policy.route_batch(
+                    arrays, step=step, workspace=self.workspace
+                )
             resolution: Resolution | None = None
             if self.plan_cache is None:
-                decisions, pfts = self.route(arrays, step=step)
+                with obs.span("to_pfts", "step"):
+                    pfts = RoutingDecision.to_pfts(decisions, self.capacity)
                 with obs.span("plan_build", "step"):
                     plan = self.dispatcher.plan(pfts, step=step)
             else:
-                with obs.span("route_batch", "step"):
-                    decisions = self.policy.route_batch(
-                        arrays, step=step, workspace=self.workspace
-                    )
                 with obs.span("plan_resolve", "step") as resolve_span:
                     resolution = self.plan_cache.resolve(
                         decisions,

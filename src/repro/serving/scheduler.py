@@ -20,9 +20,11 @@ requests enter is delegated to an :class:`AdmissionPolicy`:
 
 One request maps to one slot (= one EP rank) for its whole service time.
 That mapping is what makes continuous batching *provably* output-invariant
-here: the runtime's rank-batched route/PFT path is bit-identical to
-per-rank calls, so a request's routing — and therefore its tokens — never
-depends on which other requests share the step.
+here: the runtime's rank-batched route/PFT path gives each rank exactly
+the decision and PFT it would get routed alone (ranks are grouped by row
+count and every group draws the same ``(seed, step)`` noise), so a
+request's routing — and therefore its tokens — never depends on which
+other requests share the step.
 """
 
 from __future__ import annotations

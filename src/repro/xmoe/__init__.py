@@ -3,9 +3,10 @@
 Sub-modules:
 
 * :mod:`repro.xmoe.pft` — the Padding-Free Token buffer (PFT) data structure
-  and its construction routine (Listing 1), including the transposed-cumsum
-  optimization of Appendix B.2 and the rank-batched builder behind the
-  :class:`repro.runtime.StepRuntime` (all ranks' PFTs in one sort pass).
+  and its construction routine (Listing 1): one rank-batched builder (all
+  ranks' PFTs in one sort pass, the Appendix B.2 fast path) behind the
+  :class:`repro.runtime.StepRuntime`, the gate-driven layers and
+  :func:`build_pft`.
 * :mod:`repro.xmoe.kernels` — padding-free gather / scatter / sequential-GEMM
   "kernels" (numpy stand-ins for the Triton kernels) plus a kernel cost
   model used by the time-breakdown benchmarks.
@@ -24,13 +25,7 @@ Sub-modules:
   OOM detection and configuration sweeps.
 """
 
-from repro.xmoe.pft import (
-    PFT,
-    build_pft,
-    build_pft_flat,
-    build_pft_flat_batched,
-    build_pft_reference,
-)
+from repro.xmoe.pft import PFT, build_pft, build_pft_flat_batched
 from repro.xmoe.kernels import (
     gather_kernel,
     scatter_kernel,
@@ -63,9 +58,7 @@ from repro.xmoe.trainer import (
 __all__ = [
     "PFT",
     "build_pft",
-    "build_pft_flat",
     "build_pft_flat_batched",
-    "build_pft_reference",
     "gather_kernel",
     "scatter_kernel",
     "sequential_gemm",

@@ -19,11 +19,15 @@ ranked by their gate score and only the top ``max_token_count`` survive —
 unlike DeepSpeed-MoE, no assignment is dropped merely for having a negative
 raw score (§5.6).
 
-Two implementations are provided: :func:`build_pft_reference`, a direct
-translation of Listing 1, and :func:`build_pft`, the optimized version using
-the transposed one-hot + outer-axis cumsum described in Appendix B.2 (the
-paper reports a 10x speedup of gating + construction from this data-layout
-change).  Both produce identical PFTs and the test suite checks that.
+One builder serves every caller: :func:`build_pft_flat_batched` compiles
+all ranks' PFTs from stacked assignment arrays in one sort pass, in the
+spirit of Appendix B.2's data-layout change (the paper's transposed one-hot
++ outer-axis cumsum gave a 10x speedup of gating + construction; here one
+composite-key sort plus a segmented ``arange`` replaces the per-expert
+cumsum).  A single rank is the same call with one rank, and
+:func:`build_pft` only flattens a rectangular ``[S, k]`` selection in front
+of it.  The direct translation of Listing 1 lives in ``tests/helpers.py``
+as the test oracle the builder is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -76,9 +80,9 @@ class PFT:
 
         Used by :func:`build_pft_flat_batched`, whose output ordering and
         counts hold by construction (and are property-tested against the
-        checked path); the ``__post_init__`` validation would re-scan every
-        array per rank, which is exactly the per-rank overhead the batched
-        builder exists to remove.
+        per-rank oracle in ``tests/helpers.py``); the ``__post_init__``
+        validation would re-scan every array per rank, which is exactly the
+        per-rank overhead the batched builder exists to remove.
         """
         pft = cls.__new__(cls)
         pft.token_ids = token_ids
@@ -128,10 +132,18 @@ class PFT:
             raise AssertionError("token_ids out of range")
 
 
-def _flatten_assignments(
-    top_experts: np.ndarray, combine_weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten ``[S, k]`` routing decisions into per-assignment arrays."""
+def build_pft(
+    max_token_count: int,
+    top_experts: np.ndarray,
+    combine_weights: np.ndarray,
+    num_experts: int,
+) -> PFT:
+    """PFT construction from a rectangular ``[S, k]`` routing selection.
+
+    Flattens the selection row-major (token ``t``'s ``k`` assignments are
+    consecutive) and builds it as a single rank with
+    :func:`build_pft_flat_batched`.
+    """
     top_experts = np.asarray(top_experts, dtype=np.int64)
     combine_weights = np.asarray(combine_weights, dtype=np.float64)
     if top_experts.shape != combine_weights.shape:
@@ -140,103 +152,15 @@ def _flatten_assignments(
             f"{combine_weights.shape} must have the same [S, k] shape"
         )
     s, k = top_experts.shape
-    token_ids = np.repeat(np.arange(s, dtype=np.int64), k)
-    expert_ids = top_experts.reshape(-1)
-    weights = combine_weights.reshape(-1)
-    return token_ids, expert_ids, weights
-
-
-def build_pft_reference(
-    max_token_count: int,
-    top_experts: np.ndarray,
-    combine_weights: np.ndarray,
-    num_experts: int,
-) -> PFT:
-    """Direct translation of Listing 1's ``PFT_construction``.
-
-    Tokens within each expert are ranked by their combine weight (highest
-    first) and only the best ``max_token_count`` per expert are retained.
-    """
-    if max_token_count <= 0:
-        raise ValueError("max_token_count must be positive")
-    token_ids, expert_ids, weights = _flatten_assignments(top_experts, combine_weights)
-    s = top_experts.shape[0]
-
-    # Rank assignments within each expert by descending gate score.
-    order = np.argsort(-weights, kind="stable")
-    sorted_experts = expert_ids[order]
-    one_hot = np.zeros((sorted_experts.size, num_experts), dtype=np.int64)
-    one_hot[np.arange(sorted_experts.size), sorted_experts] = 1
-    rank_in_expert = one_hot.cumsum(axis=0)[np.arange(sorted_experts.size), sorted_experts]
-    keep_sorted = rank_in_expert <= max_token_count
-    keep = np.zeros(expert_ids.size, dtype=bool)
-    keep[order] = keep_sorted
-
-    return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
-
-
-def build_pft(
-    max_token_count: int,
-    top_experts: np.ndarray,
-    combine_weights: np.ndarray,
-    num_experts: int,
-) -> PFT:
-    """Optimized PFT construction (Appendix B.2).
-
-    Instead of materializing the ``[S*k, E]`` one-hot matrix and running a
-    cumulative sum down its (strided) inner dimension, the rank of each
-    assignment within its expert is computed with a single stable sort keyed
-    on (expert, -weight) followed by a segmented ``arange`` — the same
-    contiguous-axis trick the paper's transposed cumsum achieves.
-    """
-    token_ids, expert_ids, weights = _flatten_assignments(top_experts, combine_weights)
-    return build_pft_flat(
-        max_token_count, token_ids, expert_ids, weights, num_experts, top_experts.shape[0]
-    )
-
-
-def build_pft_flat(
-    max_token_count: int,
-    token_ids: np.ndarray,
-    expert_ids: np.ndarray,
-    combine_weights: np.ndarray,
-    num_experts: int,
-    num_source_tokens: int,
-) -> PFT:
-    """PFT construction from per-assignment flat arrays.
-
-    The assignment-level entry point behind :func:`build_pft`, used directly
-    by router policies whose selection is not rectangular (expert-choice
-    routing assigns a variable number of experts per token — see
-    :meth:`repro.routing.policies.RoutingDecision.to_pft`).  Same capacity
-    rule, same ordering, bit-identical output for flattened ``[S, k]``
-    input.
-    """
-    if max_token_count <= 0:
-        raise ValueError("max_token_count must be positive")
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    expert_ids = np.asarray(expert_ids, dtype=np.int64)
-    weights = np.asarray(combine_weights, dtype=np.float64)
-    if not (token_ids.shape == expert_ids.shape == weights.shape) or token_ids.ndim != 1:
-        raise ValueError("assignment arrays must be 1-D and of equal length")
-    s = num_source_tokens
-
-    if expert_ids.size == 0:
-        keep = np.zeros(0, dtype=bool)
-        return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
-
-    # Sort by expert id, breaking ties by descending weight: within each
-    # expert segment, position index == rank by score.
-    order = np.lexsort((-weights, expert_ids))
-    sorted_experts = expert_ids[order]
-    counts = np.bincount(sorted_experts, minlength=num_experts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rank_in_expert = np.arange(sorted_experts.size) - starts[sorted_experts]
-    keep_sorted = rank_in_expert < max_token_count
-    keep = np.zeros(expert_ids.size, dtype=bool)
-    keep[order] = keep_sorted
-
-    return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
+    return build_pft_flat_batched(
+        max_token_count,
+        np.zeros(s * k, dtype=np.int64),
+        np.repeat(np.arange(s, dtype=np.int64), k),
+        top_experts.reshape(-1),
+        combine_weights.reshape(-1),
+        num_experts,
+        [s],
+    )[0]
 
 
 def build_pft_flat_batched(
@@ -250,15 +174,16 @@ def build_pft_flat_batched(
 ) -> list[PFT]:
     """All ranks' PFTs from stacked assignment arrays, in one sort pass.
 
-    The rank-batched counterpart of :func:`build_pft_flat`: every rank's
-    assignments arrive concatenated, tagged with their group-local rank in
-    ``rank_ids``, and both the capacity rule and the canonical
-    (expert, token) ordering run **once** over composite
-    ``rank * num_experts + expert`` segments instead of once per rank.
-    Because the rank is the most significant sort key and every sort is
-    stable, each rank's segment orders exactly as a per-rank
-    :func:`build_pft_flat` call would — the returned PFTs are
-    bit-identical to the sequential loop (property-tested in
+    Every rank's assignments arrive concatenated, tagged with their
+    group-local rank in ``rank_ids``.  Token dropping is capacity-only:
+    within each (rank, expert) segment the assignments are ranked by
+    descending combine weight (ties by position) and only the best
+    ``max_token_count`` survive.  The survivors are ordered by (expert,
+    token), ties by position.  Both the capacity rule and the ordering run
+    **once** over composite ``rank * num_experts + expert`` segments
+    instead of once per rank; because the rank is the most significant sort
+    key and every sort is stable, each rank's PFT is exactly what building
+    it alone would give (property-tested against the per-rank oracle in
     ``tests/test_step_runtime.py``).  ``num_source_tokens`` gives each
     rank's source token count (its length fixes the number of ranks, so
     trailing ranks with zero assignments still get an empty PFT).
@@ -353,35 +278,3 @@ def build_pft_flat_batched(
         )
         for r in range(num_ranks)
     ]
-
-
-def _assemble_pft(
-    token_ids: np.ndarray,
-    expert_ids: np.ndarray,
-    weights: np.ndarray,
-    keep: np.ndarray,
-    num_experts: int,
-    num_source_tokens: int,
-) -> PFT:
-    """Filter dropped assignments and sort the survivors by expert id."""
-    dropped = int((~keep).sum())
-    token_ids = token_ids[keep]
-    expert_ids = expert_ids[keep]
-    weights = weights[keep]
-
-    # Final ordering: by expert id, ties broken by original token position,
-    # so both construction paths produce bit-identical PFTs.
-    order = np.lexsort((token_ids, expert_ids))
-    token_ids = token_ids[order]
-    expert_ids = expert_ids[order]
-    weights = weights[order]
-    tokens_per_expert = np.bincount(expert_ids, minlength=num_experts).astype(np.int64)
-
-    return PFT(
-        token_ids=token_ids,
-        expert_ids=expert_ids,
-        tokens_per_expert=tokens_per_expert,
-        combine_weights=weights,
-        num_source_tokens=num_source_tokens,
-        dropped_assignments=dropped,
-    )

@@ -28,9 +28,10 @@ from repro.moe.gating import TopKGate
 from repro.routing.engine import PlanDispatcher
 from repro.routing.plan import DispatchPlan
 from repro.routing.planner import FlatPlanner
+from repro.routing.policies import RoutingDecision
 from repro.tensor import ops
 from repro.tensor.autograd import Tensor
-from repro.xmoe.pft import PFT, build_pft
+from repro.xmoe.pft import PFT
 
 
 @dataclass
@@ -92,13 +93,9 @@ class PaddingFreeMoELayer:
         k = self.gate.top_k
         capacity = compute_capacity(s, k, e, self.capacity_factor)
 
-        if gate_out.decision is not None:
-            # Policy drops are filtered inside to_pft, then the standard
-            # capacity rule applies; for the default policy this path is
-            # bit-identical to build_pft on the [S, k] arrays.
-            pft = gate_out.decision.to_pft(capacity)
-        else:
-            pft = build_pft(capacity, gate_out.top_experts, gate_out.top_scores, e)
+        # Policy drops are filtered inside to_pfts, then the standard
+        # capacity rule applies.
+        pft = RoutingDecision.to_pfts([gate_out.decision], capacity)[0]
         self.last_pft = pft
 
         # Dispatch: gather routed tokens into an expert-grouped buffer.

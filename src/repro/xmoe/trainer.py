@@ -121,7 +121,7 @@ def run_routing_validation(
     A thin consumer of the shared :class:`~repro.runtime.StepRuntime`: every
     step, each rank's fresh batch of (optionally Zipf-skewed) hidden states
     is routed by **one rank-batched call** (stacked projection + vectorized
-    top-k, bit-identical to the old per-rank loop), the decisions compile to
+    top-k, bit-identical to the per-rank test oracle), the decisions compile to
     PFTs in one batched pass (policy drops filtered, then the standard
     capacity rule), the selected planner (``dispatch="flat"|"rbd"|"hier"``;
     the legacy ``use_rbd`` boolean is honoured when ``dispatch`` is omitted)

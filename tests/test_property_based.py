@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.deepspeed_moe import compute_capacity
 from repro.comm import CommWorld
 from repro.routing import make_dispatcher
-from tests.helpers import inter_node_bytes
+from tests.helpers import build_pft_reference, inter_node_bytes
 from repro.tensor import Tensor, ops
-from repro.xmoe import build_pft, build_pft_reference, gather_kernel, scatter_kernel
+from repro.xmoe import build_pft, gather_kernel, scatter_kernel
 from repro.xmoe.rbd import expected_redundancy_rate
 
 

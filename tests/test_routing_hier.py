@@ -16,6 +16,7 @@ from repro.routing import (
     make_dispatcher,
     make_policy,
 )
+from repro.routing.policies import RoutingDecision
 from repro.xmoe import dispatcher_for_config
 from repro.xmoe.trainer import run_routing_validation, sweep_dispatch_validation
 from tests.test_routing_plan import run_pipeline
@@ -62,12 +63,8 @@ def routed_workload(
         seed=seed,
     )
     capacity = max(1, int(1.5 * tokens_per_rank * top_k / num_experts) + 1)
-    tokens, pfts = [], []
-    for _ in range(num_ranks):
-        toks = rng.normal(size=(tokens_per_rank, hidden))
-        decision = policy.route(toks, step=0)
-        pfts.append(decision.to_pft(capacity))
-        tokens.append(toks)
+    tokens = [rng.normal(size=(tokens_per_rank, hidden)) for _ in range(num_ranks)]
+    pfts = RoutingDecision.to_pfts(policy.route_batch(tokens, step=0), capacity)
     w1 = rng.normal(size=(num_experts, hidden, 4))
     w2 = rng.normal(size=(num_experts, 4, hidden))
     return tokens, pfts, w1, w2

@@ -21,9 +21,10 @@ from repro.routing import (
     make_dispatcher,
     make_policy,
 )
+from repro.routing.policies import RoutingDecision
 from repro.tensor import Tensor
-from repro.xmoe import build_pft
 from repro.xmoe.trainer import policy_for_config, run_routing_validation
+from tests.helpers import build_pft_reference
 
 HIDDEN, EXPERTS, TOP_K = 16, 8, 3
 
@@ -31,6 +32,11 @@ HIDDEN, EXPERTS, TOP_K = 16, 8, 3
 @pytest.fixture
 def hidden(rng):
     return rng.normal(size=(32, HIDDEN))
+
+
+def _route(policy, hidden, step):
+    """Route one rank's batch (the single-rank case of ``route_batch``)."""
+    return policy.route_batch([hidden], step=step)[0]
 
 
 def _noise_policies():
@@ -47,7 +53,7 @@ class TestDefaultPolicyOracle:
         gate = TopKGate(HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(0))
         out = gate(Tensor(hidden))
         policy = SoftmaxTopKPolicy(HIDDEN, EXPERTS, TOP_K, weight=gate.weight.data.copy())
-        decision = policy.route(hidden, step=0)
+        decision = _route(policy, hidden, 0)
         np.testing.assert_array_equal(out.top_experts, decision.top_experts)
         np.testing.assert_array_equal(out.top_scores, decision.top_scores)
         np.testing.assert_array_equal(out.probs.data, decision.probs)
@@ -65,11 +71,12 @@ class TestDefaultPolicyOracle:
         assert out.drop_eligible.any()
 
     def test_decision_pft_matches_legacy_build_pft(self, hidden):
+        """The gate's decision compiles to the PFT Listing 1 builds from ``[S, k]``."""
         gate = TopKGate(HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(0))
         out = gate(Tensor(hidden))
         for capacity in (1, 5, 10**6):
-            via_decision = out.decision.to_pft(capacity)
-            legacy = build_pft(capacity, out.top_experts, out.top_scores, EXPERTS)
+            via_decision = RoutingDecision.to_pfts([out.decision], capacity)[0]
+            legacy = build_pft_reference(capacity, out.top_experts, out.top_scores, EXPERTS)
             np.testing.assert_array_equal(via_decision.token_ids, legacy.token_ids)
             np.testing.assert_array_equal(via_decision.expert_ids, legacy.expert_ids)
             np.testing.assert_array_equal(
@@ -87,8 +94,8 @@ class TestDeterminism:
         policy = make_policy(
             name, HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(3), seed=11
         )
-        d1 = policy.route(hidden, step=5)
-        d2 = policy.route(hidden, step=5)
+        d1 = _route(policy, hidden, 5)
+        d2 = _route(policy, hidden, 5)
         np.testing.assert_array_equal(d1.token_ids, d2.token_ids)
         np.testing.assert_array_equal(d1.expert_ids, d2.expert_ids)
         np.testing.assert_array_equal(d1.scores, d2.scores)
@@ -98,8 +105,8 @@ class TestDeterminism:
 
     def test_noise_policies_vary_with_step(self, hidden):
         for policy in _noise_policies():
-            d5 = policy.route(hidden, step=5)
-            d6 = policy.route(hidden, step=6)
+            d5 = _route(policy, hidden, 5)
+            d6 = _route(policy, hidden, 6)
             assert not (
                 np.array_equal(d5.expert_ids, d6.expert_ids)
                 and np.array_equal(d5.scores, d6.scores)
@@ -109,8 +116,8 @@ class TestDeterminism:
         for cls in (SwitchTop1Policy, NoisyTopKPolicy):
             kwargs = {} if cls is SwitchTop1Policy else {"top_k": TOP_K}
             w = np.random.default_rng(3).normal(size=(HIDDEN, EXPERTS))
-            a = cls(HIDDEN, EXPERTS, weight=w, seed=1, **kwargs).route(hidden, step=0)
-            b = cls(HIDDEN, EXPERTS, weight=w, seed=2, **kwargs).route(hidden, step=0)
+            a = _route(cls(HIDDEN, EXPERTS, weight=w, seed=1, **kwargs), hidden, 0)
+            b = _route(cls(HIDDEN, EXPERTS, weight=w, seed=2, **kwargs), hidden, 0)
             assert not np.array_equal(a.scores, b.scores)
 
 
@@ -125,7 +132,7 @@ class TestExpertChoice:
     def test_never_exceeds_capacity_never_unbalances_past_one(self, s, e, k, seed):
         rng = np.random.default_rng(seed)
         policy = ExpertChoicePolicy(HIDDEN, e, k, weight=rng.normal(size=(HIDDEN, e)))
-        decision = policy.route(rng.normal(size=(s, HIDDEN)), step=0)
+        decision = _route(policy, rng.normal(size=(s, HIDDEN)), 0)
         decision.validate()
         load = decision.expert_load()
         capacity = math.ceil(s * k / e)
@@ -136,7 +143,7 @@ class TestExpertChoice:
         policy = ExpertChoicePolicy(
             HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(3)
         )
-        decision = policy.route(hidden, step=0)
+        decision = _route(policy, hidden, 0)
         for e in range(EXPERTS):
             tokens = decision.token_ids[decision.expert_ids == e]
             assert len(set(tokens.tolist())) == tokens.size
@@ -147,7 +154,7 @@ class TestExpertChoice:
         # All tokens near one expert direction: worst case for token choice.
         hidden = np.tile(weight[:, 0], (64, 1)) + 0.01 * rng.normal(size=(64, HIDDEN))
         policy = ExpertChoicePolicy(HIDDEN, EXPERTS, 2, weight=weight)
-        assert policy.route(hidden, step=0).balance_entropy() >= 0.999
+        assert _route(policy, hidden, 0).balance_entropy() >= 0.999
 
 
 class TestDropPolicyWrapper:
@@ -180,8 +187,8 @@ class TestTelemetry:
         )
         telemetry = RoutingTelemetry(EXPERTS)
         for step in range(3):
-            decision = policy.route(hidden, step=step)
-            telemetry.record(decision, pfts=decision.to_pft(4))
+            decision = _route(policy, hidden, step)
+            telemetry.record(decision, pfts=RoutingDecision.to_pfts([decision], 4))
         assert telemetry.steps == 3
         assert telemetry.assignments == 3 * 32 * TOP_K
         assert telemetry.load.sum() == telemetry.assignments  # no policy drops
@@ -202,7 +209,7 @@ class TestTelemetry:
         )
         telemetry = RoutingTelemetry(EXPERTS + 1)
         with pytest.raises(ValueError, match="experts"):
-            telemetry.record(policy.route(hidden, step=0))
+            telemetry.record(_route(policy, hidden, 0))
 
 
 class TestMoELayersAcceptAnyPolicy:
@@ -278,14 +285,12 @@ class TestPlannerBridge:
 
     def _route_all(self, router, num_ranks, tokens_per_rank, capacity):
         policy = make_policy(router, HIDDEN, EXPERTS, 2, rng=np.random.default_rng(2), seed=5)
-        tokens, pfts = [], []
-        for rank in range(num_ranks):
-            rng = np.random.default_rng((7, rank))
-            hidden = rng.normal(size=(tokens_per_rank, HIDDEN))
-            decision = policy.route(hidden, step=0)
-            pfts.append(decision.to_pft(capacity))
-            tokens.append(hidden)
-        return tokens, pfts
+        tokens = [
+            np.random.default_rng((7, rank)).normal(size=(tokens_per_rank, HIDDEN))
+            for rank in range(num_ranks)
+        ]
+        decisions = policy.route_batch(tokens, step=0)
+        return tokens, RoutingDecision.to_pfts(decisions, capacity)
 
     @pytest.mark.parametrize("router", ROUTER_POLICY_NAMES)
     def test_flat_and_rbd_bit_identical(self, router):
@@ -315,16 +320,14 @@ class TestPlannerBridge:
             "switch-top1", HIDDEN, EXPERTS, 1,
             rng=np.random.default_rng(2), seed=5, capacity_factor=0.5,
         )
-        tokens, pfts, routed = [], [], []
-        for rank in range(num_ranks):
-            rng = np.random.default_rng((8, rank))
-            hidden = rng.normal(size=(s, HIDDEN))
-            decision = policy.route(hidden, step=0)
-            assert decision.num_dropped > 0
-            pft = decision.to_pft(None)
-            routed.append(np.unique(pft.token_ids))
-            pfts.append(pft)
-            tokens.append(hidden)
+        tokens = [
+            np.random.default_rng((8, rank)).normal(size=(s, HIDDEN))
+            for rank in range(num_ranks)
+        ]
+        decisions = policy.route_batch(tokens, step=0)
+        assert all(d.num_dropped > 0 for d in decisions)
+        pfts = RoutingDecision.to_pfts(decisions)
+        routed = [np.unique(pft.token_ids) for pft in pfts]
         world = CommWorld(num_ranks=num_ranks)
         dispatcher = make_dispatcher(world.world_group(), EXPERTS, use_rbd=True)
         inputs, plan = dispatcher.dispatch(tokens, pfts)

@@ -3,12 +3,12 @@
 The contract everything in ``repro.runtime`` rests on: the batched stages —
 :meth:`RouterPolicy.route_batch`, :func:`build_pft_flat_batched` /
 :meth:`RoutingDecision.to_pfts`, and the full :class:`StepRuntime` step —
-are **bit-identical** to the sequential per-rank loop they replaced, for
+are **bit-identical** to the per-rank oracle in ``tests/helpers.py``, for
 every router policy, every dispatch kind, and randomized shapes, seeds, and
-skews (including expert-choice's non-rectangular selections, weight ties,
-and duplicate assignments).  Plus the runtime's own behavior: workspace
-buffer reuse, trace hooks, dtype-derived payload accounting, and the ragged
-fallback.
+skews (including ragged and 0-row ranks, expert-choice's non-rectangular
+selections, weight ties, and duplicate assignments).  Plus the runtime's
+own behavior: workspace buffer reuse, trace hooks, and dtype-derived
+payload accounting.
 """
 
 import numpy as np
@@ -20,7 +20,8 @@ from repro.routing import ROUTER_POLICY_NAMES, make_dispatcher, make_policy
 from repro.routing.policies import RoutingDecision, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
 from repro.runtime import StepRuntime, StepWorkspace
-from repro.xmoe.pft import build_pft_flat, build_pft_flat_batched
+from repro.xmoe.pft import build_pft_flat_batched
+from tests.helpers import reference_pft, reference_pft_flat, reference_route
 
 
 def _assert_decisions_equal(a: RoutingDecision, b: RoutingDecision) -> None:
@@ -30,10 +31,7 @@ def _assert_decisions_equal(a: RoutingDecision, b: RoutingDecision) -> None:
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.dropped, b.dropped)
     assert np.array_equal(a.probs, b.probs)
-    # equal_nan: zero-token batches yield nan aux losses on *both* paths
-    # (mean over an empty probs array, the per-rank behavior too).
-    assert np.array_equal(a.aux_loss, b.aux_loss, equal_nan=True)
-    assert np.array_equal(a.z_loss, b.z_loss, equal_nan=True)
+    assert a.aux_loss == b.aux_loss and a.z_loss == b.z_loss
 
 
 def _assert_pfts_equal(a, b) -> None:
@@ -59,7 +57,7 @@ def _policy_and_hidden(name, *, num_ranks, tokens, hidden, experts, top_k, seed,
 
 
 # ----------------------------------------------------------------------
-# route_batch / to_pfts vs the sequential per-rank loop
+# route_batch / to_pfts vs the per-rank oracle
 # ----------------------------------------------------------------------
 class TestRouteBatchEquivalence:
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
@@ -86,29 +84,61 @@ class TestRouteBatchEquivalence:
             seed=seed,
             skew=skew,
         )
-        sequential = [policy.route(h, step=step) for h in batches]
+        sequential = [reference_route(policy, h, step) for h in batches]
         batched = policy.route_batch(batches, step=step)
         assert len(batched) == num_ranks
         for a, b in zip(sequential, batched):
             _assert_decisions_equal(a, b)
             b.validate()
         for capacity in (1, 7, None):
-            per_rank = [d.to_pft(capacity) for d in sequential]
+            per_rank = [reference_pft(d, capacity) for d in sequential]
             stacked = RoutingDecision.to_pfts(batched, capacity)
             for a, b in zip(per_rank, stacked):
                 _assert_pfts_equal(a, b)
                 b.validate()
 
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
-    def test_ragged_rank_batches_fall_back(self, name):
-        """Unequal per-rank token counts still route, via the sequential path."""
-        policy = make_policy(name, 8, 6, 2, rng=np.random.default_rng(0), seed=3)
-        rng = np.random.default_rng(1)
-        batches = [rng.normal(size=(s, 8)) for s in (5, 9, 1)]
-        sequential = [policy.route(h, step=2) for h in batches]
-        batched = policy.route_batch(batches, step=2)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
+        experts=st.integers(min_value=2, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**16),
+        step=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_ragged_batches_match_oracle(self, name, rows, experts, seed, step):
+        """Ragged per-rank row counts (0-row ranks included) route like the oracle.
+
+        ``route_batch`` groups ranks by row count; every group must see the
+        same ``(seed, step)`` noise a lone rank sees.
+        """
+        policy = make_policy(
+            name, 8, experts, min(2, experts), rng=np.random.default_rng(seed), seed=seed
+        )
+        rng = np.random.default_rng((seed, 1))
+        batches = [rng.normal(size=(s, 8)) for s in rows]
+        sequential = [reference_route(policy, h, step) for h in batches]
+        batched = policy.route_batch(batches, step=step)
+        assert len(batched) == len(rows)
         for a, b in zip(sequential, batched):
             _assert_decisions_equal(a, b)
+        for capacity in (1, 3, None):
+            per_rank = [reference_pft(d, capacity) for d in sequential]
+            for a, b in zip(per_rank, RoutingDecision.to_pfts(batched, capacity)):
+                _assert_pfts_equal(a, b)
+
+    def test_uniform_batches_project_into_the_workspace(self):
+        """Uniform batches reuse the workspace; ragged ones leave it alone."""
+        policy = make_policy("softmax-topk", 8, 4, 2, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        workspace = StepWorkspace()
+        uniform = [rng.normal(size=(5, 8)) for _ in range(3)]
+        policy.route_batch(uniform, step=0, workspace=workspace)
+        policy.route_batch(uniform, step=1, workspace=workspace)
+        assert workspace.hidden_reuses == 1 and workspace.logits_reuses == 1
+        stacked = workspace._hidden
+        ragged = [rng.normal(size=(s, 8)) for s in (5, 0, 5)]
+        policy.route_batch(ragged, step=2, workspace=workspace)
+        assert workspace._hidden is stacked and workspace.hidden_reuses == 1
 
     def test_route_batch_requires_weight(self):
         policy = make_policy("softmax-topk", 8, 4, 2)
@@ -121,19 +151,17 @@ class TestRouteBatchEquivalence:
         with pytest.raises(ValueError, match="expected \\[S, 8\\]"):
             policy.route_batch([np.zeros((3, 5))])
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
     def test_zero_token_batches_route_like_the_loop(self, name):
         """S=0 ranks must not crash the stacked path (drained data shards)."""
         policy = make_policy(name, 8, 4, 2, rng=np.random.default_rng(0), seed=1)
         batches = [np.zeros((0, 8)), np.zeros((0, 8))]
-        sequential = [policy.route(h, step=0) for h in batches]
+        sequential = [reference_route(policy, h, 0) for h in batches]
         batched = policy.route_batch(batches, step=0)
         for a, b in zip(sequential, batched):
             _assert_decisions_equal(a, b)
         for a, b in zip(
-            [d.to_pft(3) for d in sequential], RoutingDecision.to_pfts(batched, 3)
+            [reference_pft(d, 3) for d in sequential], RoutingDecision.to_pfts(batched, 3)
         ):
             _assert_pfts_equal(a, b)
 
@@ -148,7 +176,7 @@ class TestRouteBatchEquivalence:
         hidden = np.random.default_rng(1).normal(size=(3, 8))
         with pytest.raises(ValueError, match="num_experts"):
             RoutingDecision.to_pfts(
-                [a.route(hidden, step=0), b.route(hidden, step=0)]
+                a.route_batch([hidden], step=0) + b.route_batch([hidden], step=0)
             )
 
     def test_to_pfts_empty(self):
@@ -156,7 +184,7 @@ class TestRouteBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The batched PFT builder vs per-rank build_pft_flat
+# The batched PFT builder vs the per-rank oracle
 # ----------------------------------------------------------------------
 class TestBatchedPFTBuilder:
     @settings(max_examples=60, deadline=None)
@@ -190,7 +218,7 @@ class TestBatchedPFTBuilder:
         assert len(batched) == num_ranks
         for rank in range(num_ranks):
             mask = rank_ids == rank
-            reference = build_pft_flat(
+            reference = reference_pft_flat(
                 capacity, token_ids[mask], expert_ids[mask], weights[mask],
                 experts, tokens,
             )
@@ -217,13 +245,13 @@ class TestBatchedPFTBuilder:
 
 
 # ----------------------------------------------------------------------
-# The full StepRuntime vs the legacy manual drive loop
+# The full StepRuntime vs the per-rank manual drive loop
 # ----------------------------------------------------------------------
 class TestStepRuntimeEquivalence:
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
     @pytest.mark.parametrize("kind", ("flat", "rbd", "hier"))
     def test_step_outputs_match_manual_loop(self, name, kind):
-        """One runtime step == the pre-runtime per-rank drive loop, exactly."""
+        """One runtime step == the per-rank oracle drive loop, exactly."""
         num_ranks, tokens, hidden, experts, top_k, seed = 8, 16, 8, 16, 2, 11
         policy, batches = _policy_and_hidden(
             name,
@@ -237,13 +265,13 @@ class TestStepRuntimeEquivalence:
         )
         capacity = StepRuntime.capacity_for(tokens, top_k, experts, 1.25)
 
-        # The manual loop every driver used before the runtime existed.
+        # The per-rank manual loop: oracle routing and PFTs, then the engine.
         manual_world = CommWorld(num_ranks=num_ranks)
         manual = make_dispatcher(
             manual_world.world_group(), experts, kind=kind, seed=seed
         )
-        decisions = [policy.route(h, step=0) for h in batches]
-        pfts = [d.to_pft(capacity) for d in decisions]
+        decisions = [reference_route(policy, h, 0) for h in batches]
+        pfts = [reference_pft(d, capacity) for d in decisions]
         plan = manual.plan(pfts, step=0)
         expert_inputs, _ = manual.dispatch(batches, pfts, plan=plan)
         outputs = manual.combine(
@@ -289,7 +317,7 @@ class TestStepRuntimeEquivalence:
         runtime = StepRuntime(policy, dispatcher, expert_weights=(w1, w2))
         result = runtime.run_step(batches, step=0)
 
-        pfts = [policy.route(h, step=0).to_pft() for h in batches]
+        pfts = [reference_pft(reference_route(policy, h, 0)) for h in batches]
         plan = dispatcher.plan(pfts, step=0)
         expert_inputs, _ = dispatcher.dispatch(batches, pfts, plan=plan)
         expected = dispatcher.run_experts(expert_inputs, plan, w1, w2)

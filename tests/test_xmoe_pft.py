@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.xmoe import build_pft, build_pft_reference
+from repro.xmoe import build_pft
 from repro.xmoe.pft import PFT
+from tests.helpers import build_pft_reference
 
 
 def random_routing(rng, s=64, e=16, k=4):
