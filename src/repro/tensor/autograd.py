@@ -350,8 +350,8 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
-        out_data = self.data.transpose(axes)
+        out_data = self.data.transpose(axes)  # validates the axes
+        inverse = np.argsort([a % self.ndim for a in axes])
 
         def backward(grad):
             return (grad.transpose(inverse),)

@@ -24,44 +24,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _as_tensor(a) @ _as_tensor(b)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
+# Each activation is one (value, derivative) pair of numpy functions:
+# ``value(x)`` returns ``(out, saved)`` and ``derivative(x, saved)`` returns
+# ``d out / d x``, where ``saved`` is what the forward already computed.
+# The autograd ops below and the expert bank's fused sequential-GEMM node
+# both use these pairs, so an activation has exactly one formula.
+def _relu_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mask = (x > 0).astype(x.dtype)
+    return x * mask, mask
+
+
+def _relu_derivative(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return mask
+
+
+def _silu_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
+
+
+def _silu_derivative(x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return sig * (1.0 + x * (1.0 - sig))
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+
+
+def _gelu_derivative(x: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
+    sech2 = 1.0 - tanh_inner**2
+    d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
+
+
+#: name -> (value, derivative) for every activation an FFN may use.
+_ACTIVATIONS = {
+    "relu": (_relu_value, _relu_derivative),
+    "silu": (_silu_value, _silu_derivative),
+    "gelu": (_gelu_value, _gelu_derivative),
+}
+
+
+def activation_pair(name: str):
+    """The ``(value, derivative)`` pair of activation ``name``."""
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown activation {name!r}") from None
+
+
+def activate(x: Tensor, name: str) -> Tensor:
+    """Apply activation ``name`` (``"relu"``, ``"silu"`` or ``"gelu"``) to ``x``."""
+    value, derivative = activation_pair(name)
     x = _as_tensor(x)
-    mask = (x.data > 0).astype(x.data.dtype)
+    out, saved = value(x.data)
 
     def backward(grad):
-        return (grad * mask,)
+        return (grad * derivative(x.data, saved),)
 
-    return Tensor.from_op(x.data * mask, (x,), backward)
+    return Tensor.from_op(out, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    """Rectified linear unit."""
+    return activate(x, "relu")
 
 
 def silu(x: Tensor) -> Tensor:
     """SiLU / swish activation, the FFN activation used by DeepSeek models."""
-    x = _as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
-
-    def backward(grad):
-        return (grad * (sig * (1.0 + x.data * (1.0 - sig))),)
-
-    return Tensor.from_op(out, (x,), backward)
+    return activate(x, "silu")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximated GeLU."""
-    x = _as_tensor(x)
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data**3)
-    tanh_inner = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + tanh_inner)
-
-    def backward(grad):
-        sech2 = 1.0 - tanh_inner**2
-        d_inner = c * (1.0 + 3 * 0.044715 * x.data**2)
-        d = 0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner
-        return (grad * d,)
-
-    return Tensor.from_op(out, (x,), backward)
+    return activate(x, "gelu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -9,6 +9,12 @@ builds PFTs only through the rank-batched ``route_batch`` / ``decide_batch``
 / ``RoutingDecision.to_pfts`` path; the tests check that path against this
 oracle bit for bit, and ``benchmarks/test_step_runtime_micro.py`` times the
 oracle's per-rank loop as its baseline.
+
+It also holds the expert-stage oracle: :func:`reference_forward_sequential`
+runs a padding-free buffer through an :class:`~repro.moe.ExpertBank` as a
+chain of per-expert autograd ops (slice, GEMM, activation, GEMM, concat),
+against which the bank's one-node ``forward_sequential`` is checked bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 import numpy as np
 
 from repro.routing.policies import RoutingDecision
+from repro.tensor import Tensor, ops
 from repro.tensor.ops import topk
 from repro.xmoe.pft import PFT
 
@@ -234,3 +241,28 @@ def build_pft_reference(max_token_count, top_experts, combine_weights, num_exper
     keep = np.zeros(expert_ids.size, dtype=bool)
     keep[order] = rank_in_expert <= max_token_count
     return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
+
+
+# ----------------------------------------------------------------------
+# Expert-stage oracle: one autograd chain per expert
+# ----------------------------------------------------------------------
+def reference_forward_expert(bank, expert_id: int, tokens: Tensor) -> Tensor:
+    """Run one expert's two-layer FFN over ``tokens`` ``[n, H]``."""
+    h = tokens @ bank.w1[expert_id]
+    h = ops.activate(h, bank.activation)
+    return h @ bank.w2[expert_id]
+
+
+def reference_forward_sequential(bank, tokens: Tensor, tokens_per_expert) -> Tensor:
+    """``bank.forward_sequential`` as per-expert slices joined by ``concat``."""
+    tokens_per_expert = np.asarray(tokens_per_expert, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(tokens_per_expert)])
+    outputs: list[Tensor] = []
+    for e in range(bank.num_experts):
+        lo, hi = int(offsets[e]), int(offsets[e + 1])
+        if hi == lo:
+            continue
+        outputs.append(reference_forward_expert(bank, e, tokens[lo:hi]))
+    if not outputs:
+        return Tensor(np.zeros((0, bank.hidden_size)))
+    return ops.concat(outputs, axis=0)

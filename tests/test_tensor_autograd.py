@@ -65,6 +65,12 @@ class TestBasicOps:
         x0 = rng.normal(size=(4, 6))
         check_gradient(lambda x: (x.reshape(2, 12).T * 2.0).sum(), x0)
 
+    @pytest.mark.parametrize("axes", [(0, -1, 1), (0, -1, -2)])
+    def test_transpose_negative_axes_grad(self, rng, axes):
+        x0 = rng.normal(size=(2, 3, 4))
+        weights = rng.normal(size=x0.transpose(axes).shape)
+        check_gradient(lambda x: (x.transpose(*axes) * weights).sum(), x0)
+
     def test_exp_log_tanh_grad(self, rng):
         x0 = np.abs(rng.normal(size=(4,))) + 0.5
         check_gradient(lambda x: (x.exp() + x.log() + x.tanh()).sum(), x0)
