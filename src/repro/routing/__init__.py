@@ -38,9 +38,10 @@ front of their experts", split into two orthogonal layers:
     (order-insensitive digests over the stacked decision arrays) and
     resolves it against a bounded LRU: exact hit, weight-only patch,
     incremental structural patch, or cold build — every tier bit-identical
-    to building from scratch.  Warm entries carry a fused
+    to building from scratch.  Reused entries carry a fused
     :class:`ExecProgram` that replaces the engine's dispatch + combine
-    with whole-array gathers and strided folds; wire it in via
+    with whole-array gathers and the engine's own segmented fold
+    (:class:`~repro.routing.fold.SegmentFold`); wire it in via
     ``StepRuntime(plan_cache=...)``.
 
 **Telemetry — what actually happened** (:mod:`repro.routing.telemetry`)
@@ -55,6 +56,7 @@ engine, and :class:`repro.moe.gating.TopKGate` delegates its selection to a
 policy (``DropPolicy`` maps onto the default policy's score-threshold knob).
 """
 
+from repro.routing.fold import SegmentFold
 from repro.routing.plan import DispatchPlan
 from repro.routing.planner import (
     FlatPlanner,
@@ -106,6 +108,7 @@ __all__ = [
     "RBDPlan",
     "RBDPlanner",
     "Resolution",
+    "SegmentFold",
     "StepSignature",
     "ROUTER_POLICIES",
     "ROUTER_POLICY_NAMES",

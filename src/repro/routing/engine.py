@@ -19,7 +19,12 @@ partial sums and then folds the partials in (token, node) order.  Every
 plan kind drives the *same* fold orders (``merge_perm`` / ``combine_perm``
 / ``hM_fold_perm`` encode the (slot, expert) ordering), so the RBD and
 hierarchical paths return outputs exactly equal to the flat oracle — not
-merely close.
+merely close.  Each fold stage (the RBD pilot merge, the hierarchical
+leader fold, the flat partial fold, and the source-side token fold) runs
+as one whole-world :class:`~repro.routing.fold.SegmentFold` — the same
+sequential segmented sum the fused cached executor uses — with the plan's
+fold permutation composed into its gather, so no permuted copy of the
+contributions is ever made.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.config.parallel_config import DISPATCH_KINDS
+from repro.routing.fold import SegmentFold
 from repro.routing.plan import DispatchPlan
 from repro.routing.planner import (
     FlatPlanner,
@@ -292,7 +298,6 @@ class PlanDispatcher:
     ) -> list[np.ndarray]:
         """Weighted combine, reversing the dispatch stages of the plan."""
         size = self.group.size
-        hidden = per_rank_expert_outputs[0].shape[1]
         dtype = per_rank_expert_outputs[0].dtype
 
         # Undo the by-expert sort and apply the combine weights (the paper
@@ -304,65 +309,46 @@ class PlanDispatcher:
             weighted.append(un * plan.arrival_weight[d][:, None])
 
         if plan.kind == "hier":
-            return self._combine_hier(weighted, plan, num_tokens_per_rank, hidden, dtype)
+            return self._combine_hier(weighted, plan, num_tokens_per_rank, dtype)
         _, _, c1_op, c2_op = _OP_NAMES[plan.kind]
 
         # ---- stage C1: replica outputs merge onto their pilot ----------
         if c1_op is None:
             partials_dest = weighted
         else:
-            c1_recv: list[np.ndarray] = [None] * size  # type: ignore[list-item]
-            for members, ng in zip(plan.node_members, self.node_groups()):
-                send_bufs = [weighted[m][plan.num_pilot_arrivals[m] :] for m in members]
-                recvd, _ = ng.alltoallv_planned(
-                    send_bufs,
-                    [plan.s2_recv_splits[m] for m in members],
-                    [plan.s2_send_splits[m] for m in members],
-                    op_name=c1_op,
-                )
-                for j, m in enumerate(members):
-                    c1_recv[m] = recvd[j]
-            partials_dest = []
+            pilots = plan.num_pilot_arrivals
+            c1_recv = self._node_alltoallv(
+                [weighted[d][pilots[d] :] for d in range(size)],
+                plan.s2_recv_splits, plan.s2_send_splits, plan, c1_op,
+            )
+            # Each rank's contributions are [own pilot outputs ++ C1
+            # receives]; merge_perm/merge_slot are already in fold order
+            # (pilot slot, expert, src, row), so one whole-world fold
+            # serves every rank.
+            contributions: list[np.ndarray] = []
             for d in range(size):
-                merged = np.zeros((plan.num_pilot_arrivals[d], hidden), dtype=dtype)
-                contributions = np.concatenate(
-                    [weighted[d][: plan.num_pilot_arrivals[d]], c1_recv[d]], axis=0
-                )
-                # merge_perm/merge_slot are already in fold order:
-                # (pilot slot, expert, src, row).
-                np.add.at(
-                    merged, plan.merge_slot[d], contributions[plan.merge_perm[d]]
-                )
-                partials_dest.append(merged)
+                contributions += [weighted[d][: pilots[d]], c1_recv[d]]
+            weighted = c1_recv = None  # the fold frees its inputs once stacked
+            slot_off = _offsets(pilots)
+            contrib_off = _offsets([c.shape[0] for c in contributions])[::2]
+            merge = SegmentFold(
+                _stacked(plan.merge_slot, slot_off), _stacked(plan.merge_perm, contrib_off)
+            )
+            merged = merge.fold(contributions, int(slot_off[-1]), dtype)
+            partials_dest = [merged[slot_off[d] : slot_off[d + 1]] for d in range(size)]
 
         # ---- stage C2: per-(token, node) rows return to their source ---
         returned, _ = self.group.alltoallv_planned(
             partials_dest, plan.recv_splits, plan.send_splits, op_name=c2_op
         )
-
-        # ---- source-side fold: partials, then (token, node) order ------
-        outputs: list[np.ndarray] = []
-        for r in range(size):
-            num_partials = plan.num_partials(r)
-            if plan.kind == "rbd":
-                # One returned row per partial group: a pure reorder.
-                partials = np.empty((num_partials, hidden), dtype=dtype)
-                partials[plan.combine_partial[r]] = returned[r]
-            else:
-                partials = np.zeros((num_partials, hidden), dtype=dtype)
-                perm = plan.combine_perm[r]
-                np.add.at(partials, plan.combine_partial[r][perm], returned[r][perm])
-            out = np.zeros((num_tokens_per_rank[r], hidden), dtype=dtype)
-            np.add.at(out, plan.partial_token[r], partials)
-            outputs.append(out)
-        return outputs
+        weighted = partials_dest = None  # free the C2 inputs before the fold
+        return self._source_fold(returned, plan, num_tokens_per_rank, dtype)
 
     def _combine_hier(
         self,
         weighted: list[np.ndarray],
         plan: DispatchPlan,
         num_tokens_per_rank: list[int],
-        hidden: int,
         dtype,
     ) -> list[np.ndarray]:
         """Reverse the two hops: scatter-back → leader exchange → gather-back."""
@@ -375,19 +361,23 @@ class PlanDispatcher:
         rev_c = self._node_alltoallv(
             weighted, plan.hC_recv_splits, plan.hC_send_splits, plan, gather_op
         )
-        merged: list[np.ndarray] = []
-        for r in range(size):
-            fold = np.zeros((int(plan.recv_splits[r].sum()), hidden), dtype=dtype)
-            np.add.at(fold, plan.hM_fold_slot[r], rev_c[r][plan.hM_fold_perm[r]])
-            merged.append(fold)
+        weighted.clear()  # the caller's list: free the buffers before the fold
+        slot_off = _offsets([int(plan.recv_splits[r].sum()) for r in range(size)])
+        row_off = _offsets([r.shape[0] for r in rev_c])
+        leader = SegmentFold(
+            _stacked(plan.hM_fold_slot, slot_off), _stacked(plan.hM_fold_perm, row_off)
+        )
+        folded = leader.fold(rev_c, int(slot_off[-1]), dtype)
+        merged = [folded[slot_off[r] : slot_off[r + 1]] for r in range(size)]
 
         # ---- reverse hop B: leaders exchange the per-group partials back.
         rev_b, _ = self.group.alltoallv_planned(
             merged, plan.recv_splits, plan.send_splits, op_name=inter_op
         )
+        del merged, folded
         back: list[np.ndarray] = []
         for r in range(size):
-            buf = np.empty((plan.hB_perm[r].size, hidden), dtype=dtype)
+            buf = np.empty((plan.hB_perm[r].size,) + rev_b[r].shape[1:], dtype=dtype)
             buf[plan.hB_perm[r]] = rev_b[r]
             back.append(buf)
 
@@ -395,17 +385,55 @@ class PlanDispatcher:
         returned = self._node_alltoallv(
             back, plan.hA_recv_splits, plan.hA_send_splits, plan, scatter_op
         )
+        del back
+        return self._source_fold(returned, plan, num_tokens_per_rank, dtype)
 
-        # ---- source-side fold: one row per partial group (pure reorder),
-        # then the (token, node)-ordered token fold shared with flat/RBD.
-        outputs: list[np.ndarray] = []
-        for r in range(size):
-            partials = np.empty((plan.num_partials(r), hidden), dtype=dtype)
-            partials[plan.combine_partial[r]] = returned[r]
-            out = np.zeros((num_tokens_per_rank[r], hidden), dtype=dtype)
-            np.add.at(out, plan.partial_token[r], partials)
-            outputs.append(out)
-        return outputs
+    def _source_fold(
+        self,
+        returned: list[np.ndarray],
+        plan: DispatchPlan,
+        num_tokens_per_rank: list[int],
+        dtype,
+    ) -> list[np.ndarray]:
+        """Fold returned rows into each source's tokens, (token, node)-ordered.
+
+        Flat plans return one row per assignment: they first fold into
+        per-(token, node) partials in (group, expert) order, and the token
+        fold reads those accumulators in place.  RBD and hierarchical plans
+        return one row per partial group, so their reorder is composed
+        into the token fold's gather.  ``returned`` is consumed.
+        """
+        size = self.group.size
+        tok_off = _offsets(num_tokens_per_rank)
+        group_off = _offsets([plan.num_partials(r) for r in range(size)])
+        row_off = _offsets([r.shape[0] for r in returned])
+        group_of_row = _stacked(plan.combine_partial, group_off)
+        if plan.kind == "flat":
+            fold_rows = _stacked(plan.combine_perm, row_off)
+            groups = SegmentFold(group_of_row[fold_rows], fold_rows)
+            if groups.num_segments != int(group_off[-1]):
+                raise ValueError("every partial group needs a returned row")
+            values = groups.sums(returned, dtype)
+            source = groups.slot_of_segment
+        else:
+            values = returned
+            source = np.empty(int(group_off[-1]), dtype=np.int64)
+            source[group_of_row] = np.arange(int(row_off[-1]), dtype=np.int64)
+        tokens = SegmentFold(_stacked(plan.partial_token, tok_off), source)
+        out = tokens.fold(values, int(tok_off[-1]), dtype)
+        return [out[tok_off[r] : tok_off[r + 1]] for r in range(size)]
+
+
+def _offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, …]`` as int64 bounds."""
+    return np.cumsum([0, *counts], dtype=np.int64)
+
+
+def _stacked(per_rank: list[np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """One whole-world index array: rank ``r``'s entries shifted by ``offsets[r]``."""
+    return np.concatenate(per_rank).astype(np.int64, copy=False) + np.repeat(
+        offsets[:-1], [a.size for a in per_rank]
+    )
 
 
 def make_dispatcher(

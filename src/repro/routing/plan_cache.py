@@ -41,15 +41,18 @@ cheap without changing a single output bit:
      any invariant cannot be preserved.
 
 * :class:`ExecProgram` — a kind-independent fused step executor compiled
-  once per cache entry.  Dispatch becomes one global gather in the
-  canonical ``(dest, expert, src, token)`` order; combine becomes one
-  gather + weight multiply followed by two position-strided segmented
-  folds that replay ``np.add.at``'s sequential accumulation order exactly
-  (``reduceat`` does **not** accumulate sequentially and is therefore
-  unusable here); the step's collectives are replayed from
-  :class:`~repro.comm.process_group.CommEvent` templates captured from one
-  cold execution (the network model is deterministic, so the replayed
-  seconds/bytes/tiers are exactly what the collectives would record).
+  once per cache entry, on the entry's first reuse (an exact hit or a
+  weight patch of it), so a cache that never hits never compiles one.
+  Dispatch becomes one global gather in the canonical ``(dest, expert,
+  src, token)`` order; combine becomes one gather + weight multiply
+  followed by two :class:`~repro.routing.fold.SegmentFold` s — the
+  engine's own fold — that replay ``np.add.at``'s sequential
+  accumulation order exactly, the token fold reading the partial
+  accumulators in place; the step's collectives are replayed from
+  :class:`~repro.comm.process_group.CommEvent` templates kept from the
+  entry's cold execution (the network model is deterministic, so the
+  replayed seconds/bytes/tiers are exactly what the collectives would
+  record).
   Every plan kind (flat, RBD, hierarchical) folds each token's output over
   the same association tree — per ``(token, node)`` partial groups in
   node-ascending order, contributions expert-ascending within a group —
@@ -71,6 +74,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.obs import tracer as obs
+from repro.routing.fold import SegmentFold
 from repro.routing.plan import DispatchPlan
 from repro.xmoe.pft import PFT
 
@@ -209,21 +213,19 @@ class ExecProgram:
     """A fused, kind-independent dispatch + combine program for one plan.
 
     Compiled once per cache entry from the planned PFT contents; every run
-    afterwards is a handful of whole-array gathers and position-strided
-    segmented folds, bit-identical to driving the full engine (the build
-    asserts its canonical order and fold segmentation against the plan's
-    own arrival tables before the program is ever used).
+    is a handful of whole-array gathers and two segmented folds,
+    bit-identical to driving the full engine (the build asserts its
+    canonical order and fold segmentation against the plan's own arrival
+    tables before the program is ever used).
     """
 
     tok_off: np.ndarray  # [R + 1] stacked token-row offsets per rank
     dest_off: np.ndarray  # [R + 1] canonical-slot offsets per dest rank
     disp_gather: np.ndarray  # stacked token row per canonical slot
-    fold_gather: np.ndarray  # canonical slot per fold slot
-    fold_w: np.ndarray  # combine weight per fold slot
-    fold_pft_rows: np.ndarray  # global PFT row per fold slot (weight patching)
-    num_groups: int  # (src, token, node) partial groups
-    l1_passes: list  # [(group idx, fold slot)] per within-group position
-    l2_passes: list  # [(output row, group idx)] per within-token position
+    groups: SegmentFold  # canonical slots -> (src, token, node) partials
+    tokens: SegmentFold  # partial accumulators -> stacked output rows
+    fold_w: np.ndarray  # combine weight per value, in ``groups``' gather order
+    fold_pft_rows: np.ndarray  # global PFT row per value (weight patching)
     comm_events: tuple = ()  # CommEvent templates captured from a cold run
 
     @classmethod
@@ -276,50 +278,31 @@ class ExecProgram:
         # association tree of the flat / RBD / hierarchical slow paths.
         group_key = (src * token_base + tok) * num_nodes + node
         fold_perm = np.argsort(group_key * num_experts + exp, kind="stable")
-        fold_gather = inv_canon[fold_perm]
-        fold_w = wgt[fold_perm]
-        gk_sorted = group_key[fold_perm]
+        groups = SegmentFold(group_key[fold_perm], inv_canon[fold_perm])
+        fold_pft_rows = fold_perm[groups.key_order]
 
-        l1_passes, grp_starts = _segment_passes(gk_sorted)
-        num_groups = grp_starts.size
-
-        # Token-level fold: partial groups collapse per (src, token).
-        tok_key = gk_sorted[grp_starts] // num_nodes if num_groups else gk_sorted[:0]
-        l2_raw, tseg_starts = _segment_passes(tok_key)
-        out_rows = (
-            tok_off[tok_key[tseg_starts] // token_base]
-            + tok_key[tseg_starts] % token_base
-        )
-        l2_passes = [(out_rows[sel], start) for sel, start in l2_raw]
-
-        # The first pass of each fold always covers every segment; when its
-        # target rows are exactly 0..n-1 a plain slice replaces the fancy
-        # index — same elementwise adds, about half the wall-clock on the
-        # dominant pass.
-        if l1_passes and l1_passes[0][0].size == num_groups:
-            l1_passes[0] = (slice(None), l1_passes[0][1])
-        if l2_passes and np.array_equal(
-            l2_passes[0][0], np.arange(int(tok_off[-1]))
-        ):
-            l2_passes[0] = (slice(None), l2_passes[0][1])
+        # Token-level fold: partial groups collapse per (src, token), read
+        # straight from the group fold's accumulators.
+        group_keys = groups.targets[groups.slot_of_segment]  # in key order
+        tok_key = group_keys // num_nodes
+        out_rows = tok_off[tok_key // token_base] + tok_key % token_base
+        tokens = SegmentFold(out_rows, groups.slot_of_segment)
 
         program = cls(
             tok_off=tok_off,
             dest_off=dest_off,
             disp_gather=disp_gather,
-            fold_gather=fold_gather,
-            fold_w=fold_w,
-            fold_pft_rows=fold_perm,
-            num_groups=int(num_groups),
-            l1_passes=l1_passes,
-            l2_passes=l2_passes,
+            groups=groups,
+            tokens=tokens,
+            fold_w=wgt[fold_pft_rows],
+            fold_pft_rows=fold_pft_rows,
             comm_events=tuple(comm_events),
         )
-        program._verify_against_plan(plan, exp, src, wgt, canon, gk_sorted, grp_starts)
+        program._verify_against_plan(plan, exp, src, wgt, canon, group_keys)
         return program
 
     # ------------------------------------------------------------------
-    def _verify_against_plan(self, plan, exp, src, wgt, canon, gk_sorted, grp_starts):
+    def _verify_against_plan(self, plan, exp, src, wgt, canon, group_keys):
         """Assert the fused index maps agree with the plan's own tables."""
         num_ranks = len(plan.pfts)
         for d in range(num_ranks):
@@ -336,7 +319,7 @@ class ExecProgram:
         # Per-rank partial groups must match the plan's (token, node) fold.
         num_nodes = max(1, plan.num_nodes)
         token_base = max(1, int(np.diff(self.tok_off).max(initial=0)))
-        g_srctok = gk_sorted[grp_starts] // num_nodes
+        g_srctok = group_keys // num_nodes
         g_src = g_srctok // token_base
         g_tok = g_srctok % token_base
         start = 0
@@ -369,39 +352,30 @@ class ExecProgram:
         ], big
 
     def run_combine(self, stacked_outputs: np.ndarray, *, workspace=None) -> list:
-        """Fused weighted combine: gather → two strided sequential folds.
+        """Fused weighted combine: one gather, then the two segmented folds.
 
         ``stacked_outputs`` concatenates every destination's expert output
         buffer in canonical order.  Both folds replay the slow path's
-        ``np.add.at`` association order exactly: contributions fold into
-        per-(token, node) partials expert-ascending, partials fold into
-        tokens node-ascending, each accumulation starting from ``+0.0``.
+        association order exactly: contributions fold into per-(token,
+        node) partials expert-ascending, partials fold into tokens
+        node-ascending, each accumulation starting from ``+0.0``.
         ``workspace`` (a :class:`repro.runtime.StepWorkspace`-like object
-        with ``scratch``) optionally supplies the fold-values arena.
+        with ``scratch``) optionally supplies the gathered-values arenas.
         """
-        hidden = stacked_outputs.shape[1] if stacked_outputs.ndim == 2 else 0
-        if workspace is not None:
+        if workspace is None:
+            vals = stacked_outputs[self.groups.gather]
+        else:
             vals = workspace.scratch(
-                "fused_fold_vals", (self.fold_gather.size, hidden),
+                "fused_fold_vals",
+                (self.groups.gather.size,) + stacked_outputs.shape[1:],
                 dtype=stacked_outputs.dtype,
             )
             # mode="clip" takes numpy's buffered fast path; the indices are
             # in-bounds by construction, so clipping never fires.
-            np.take(stacked_outputs, self.fold_gather, axis=0, out=vals, mode="clip")
-            partials = workspace.scratch(
-                "fused_fold_partials", (self.num_groups, hidden),
-                dtype=stacked_outputs.dtype,
-            )
-            partials.fill(0.0)
-        else:
-            vals = stacked_outputs[self.fold_gather]
-            partials = np.zeros((self.num_groups, hidden), dtype=stacked_outputs.dtype)
+            np.take(stacked_outputs, self.groups.gather, axis=0, out=vals, mode="clip")
         vals *= self.fold_w[:, None]
-        for grp_sel, fold_rows in self.l1_passes:
-            partials[grp_sel] += vals[fold_rows]
-        out = np.zeros((int(self.tok_off[-1]), hidden), dtype=stacked_outputs.dtype)
-        for out_sel, grp_rows in self.l2_passes:
-            out[out_sel] += partials[grp_rows]
+        partials = self.groups.accumulate(vals)
+        out = self.tokens.fold(partials, int(self.tok_off[-1]))
         return [
             out[self.tok_off[r] : self.tok_off[r + 1]]
             for r in range(self.tok_off.size - 1)
@@ -425,28 +399,6 @@ class ExecProgram:
         return replace(self, fold_w=pft_weights[self.fold_pft_rows])
 
 
-def _segment_passes(sorted_keys: np.ndarray):
-    """Position-strided passes over contiguous equal-key segments.
-
-    Returns ``(passes, starts)`` where ``passes[j]`` is ``(segment index,
-    source row)`` for every segment longer than ``j``.  Driving
-    ``out[seg] += vals[row]`` for ``j = 0, 1, …`` accumulates each
-    segment's rows in exactly ``np.add.at``'s sequential order (numpy's
-    ``reduceat`` does not, which is why it cannot be used here).
-    """
-    n = sorted_keys.size
-    if n == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    boundaries = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    starts = np.flatnonzero(boundaries).astype(np.int64)
-    lengths = np.diff(np.concatenate([starts, [n]]))
-    passes = []
-    for j in range(int(lengths.max())):
-        sel = np.flatnonzero(lengths > j).astype(np.int64)
-        passes.append((sel, starts[sel] + j))
-    return passes, starts
-
-
 # ----------------------------------------------------------------------
 # The cache proper.
 # ----------------------------------------------------------------------
@@ -465,6 +417,7 @@ class _CacheEntry:
     pft_stack_idx: np.ndarray | None  # stacked-signature index per PFT row
     pft_row_offsets: np.ndarray | None
     arrival_stack_idx: list | None  # per dest: stacked index per arrival slot
+    comm_events: tuple | None = None  # CommEvent templates of a cold run
 
 
 @dataclass
@@ -474,8 +427,9 @@ class Resolution:
     ``outcome`` is ``"hit"`` (exact reuse), ``"weight_patch"`` (same
     structure, re-gathered weights), ``"patch"`` (incremental structural
     patch + recompile), or ``"miss"`` (cold build).  ``exec_program`` is
-    ``None`` until the entry's fused executor has been compiled (the
-    runtime attaches it after the entry's first slow-path execution).
+    the entry's fused executor, compiled lazily: ``None`` on a miss or
+    patch, and on a hit or weight patch whose entry has no comm templates
+    yet (the runtime attaches those after the entry's first engine run).
     """
 
     pfts: list
@@ -574,7 +528,8 @@ class PlanCache:
         if entry is not None and entry.sig.matches(sig):
             self.hits += 1
             self._touch(entry)
-            return Resolution(entry.pfts, entry.plan, entry.exec_program, "hit", entry)
+            program = self._exec_program(entry, tokens_per_rank)
+            return Resolution(entry.pfts, entry.plan, program, "hit", entry)
 
         source = self._by_structure.get(context + (sig.structure_digest,))
         if (
@@ -583,7 +538,7 @@ class PlanCache:
             and source.sig.structure_matches(sig)
         ):
             with obs.span("cache.weight_patch", "plan_cache"):
-                patched = self._weight_patch(source, sig, key, context)
+                patched = self._weight_patch(source, sig, key, context, tokens_per_rank)
             self.weight_patches += 1
             return Resolution(
                 patched.pfts, patched.plan, patched.exec_program, "weight_patch", patched
@@ -608,17 +563,24 @@ class PlanCache:
         self.misses += 1
         return Resolution(pfts, plan, None, "miss", entry)
 
-    def attach_exec(self, entry: _CacheEntry, *, tokens_per_rank, comm_events=()):
-        """Compile and attach the fused executor after a cold execution.
+    def attach_comm(self, entry: _CacheEntry, comm_events) -> None:
+        """Keep a cold execution's comm events as the entry's replay templates.
 
-        Called by the runtime once the entry's first step has run through
-        the full engine (which is when the comm-event templates exist).
+        Called by the runtime after the entry's first step has run through
+        the full engine; the fused executor itself is compiled only when
+        the entry (or a weight patch of it) is resolved again.
         """
-        if entry.exec_program is not None:
-            return entry.exec_program
-        entry.exec_program = ExecProgram.build(
-            entry.pfts, entry.plan, tokens_per_rank, comm_events=comm_events
-        )
+        if entry.comm_events is None:
+            entry.comm_events = tuple(comm_events)
+
+    def _exec_program(self, entry: _CacheEntry, tokens_per_rank) -> ExecProgram | None:
+        """The entry's fused executor, compiled on first reuse."""
+        if entry.exec_program is None and entry.comm_events is not None:
+            with obs.span("cache.fused_compile", "plan_cache"):
+                entry.exec_program = ExecProgram.build(
+                    entry.pfts, entry.plan, tokens_per_rank,
+                    comm_events=entry.comm_events,
+                )
         return entry.exec_program
 
     # ------------------------------------------------------------------
@@ -721,8 +683,12 @@ class PlanCache:
         return entry
 
     # ------------------------------------------------------------------
-    def _weight_patch(self, source, sig, key, context) -> _CacheEntry:
-        """Same structure, drifted scores: re-gather every weight table."""
+    def _weight_patch(self, source, sig, key, context, tokens_per_rank) -> _CacheEntry:
+        """Same structure, drifted scores: re-gather every weight table.
+
+        The patched entry inherits the source's comm templates and, once
+        the source's executor is compiled, shares its index maps.
+        """
         new_weights = sig.scores[source.pft_stack_idx]
         offsets = source.pft_row_offsets
         pfts = [
@@ -741,9 +707,9 @@ class PlanCache:
             pfts=pfts,
             arrival_weight=[sig.scores[idx] for idx in source.arrival_stack_idx],
         )
-        exec_program = None
-        if source.exec_program is not None:
-            exec_program = source.exec_program.with_fold_weights(new_weights)
+        exec_program = self._exec_program(source, tokens_per_rank)
+        if exec_program is not None:
+            exec_program = exec_program.with_fold_weights(new_weights)
 
         entry = _CacheEntry(
             key=key,
@@ -757,6 +723,7 @@ class PlanCache:
             pft_stack_idx=source.pft_stack_idx,
             pft_row_offsets=source.pft_row_offsets,
             arrival_stack_idx=source.arrival_stack_idx,
+            comm_events=source.comm_events,
         )
         self._entries[key] = entry
         self._entries.move_to_end(key)

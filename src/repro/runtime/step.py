@@ -25,12 +25,12 @@ executed step emits one trace object to every registered hook.
 
 With a :class:`~repro.routing.plan_cache.PlanCache` attached
 (``plan_cache=``), the runtime additionally skips the PFT build + plan
-compile on warm steps and — once a cache entry's fused
-:class:`~repro.routing.plan_cache.ExecProgram` has been compiled from its
-first cold execution — runs the whole dispatch/experts/combine back half
-through a handful of whole-array gathers and strided folds, bit-identical
-to the engine path (comm accounting is replayed from the captured event
-templates).  The fused path only engages for float64 payloads on worlds
+compile on warm steps and — once a cache entry is reused after its
+first cold execution, which is when the cache compiles its fused
+:class:`~repro.routing.plan_cache.ExecProgram` — runs the whole
+dispatch/experts/combine back half through a handful of whole-array
+gathers and segmented folds, bit-identical to the engine path (comm
+accounting is replayed from the captured event templates).  The fused path only engages for float64 payloads on worlds
 without memory tracking; anything else transparently runs the engine.
 """
 
@@ -338,16 +338,13 @@ class StepRuntime:
                         expert_outputs, plan, [h.shape[0] for h in arrays]
                     )
                 fused = False
-                if fusable and resolution.exec_program is None:
-                    # First engine-path execution of this cache entry: compile
-                    # the fused program and capture the step's comm events as
-                    # replay templates for future warm runs.
-                    with obs.span("fused_compile", "step"):
-                        self.plan_cache.attach_exec(
-                            resolution.entry,
-                            tokens_per_rank=[int(h.shape[0]) for h in arrays],
-                            comm_events=tuple(stats.events[events_before:]),
-                        )
+                if fusable:
+                    # Capture the step's comm events as the entry's replay
+                    # templates; the cache compiles the fused program only
+                    # when the entry is reused.
+                    self.plan_cache.attach_comm(
+                        resolution.entry, stats.events[events_before:]
+                    )
 
             with obs.span("finalize", "step"):
                 # Payload sizing derives from the actual token dtype — a

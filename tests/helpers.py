@@ -15,6 +15,10 @@ runs a padding-free buffer through an :class:`~repro.moe.ExpertBank` as a
 chain of per-expert autograd ops (slice, GEMM, activation, GEMM, concat),
 against which the bank's one-node ``forward_sequential`` is checked bit for
 bit.
+
+And the combine oracle: :func:`reference_combine` folds weighted expert
+outputs token by token in plain Python loops, sharing no code with the
+``SegmentFold`` that both the engine and the fused executor run.
 """
 
 from __future__ import annotations
@@ -266,3 +270,37 @@ def reference_forward_sequential(bank, tokens: Tensor, tokens_per_expert) -> Ten
     if not outputs:
         return Tensor(np.zeros((0, bank.hidden_size)))
     return ops.concat(outputs, axis=0)
+
+
+# ----------------------------------------------------------------------
+# Combine oracle: one Python loop per source token
+# ----------------------------------------------------------------------
+def reference_combine(
+    pfts, expert_output, num_tokens_per_rank, hidden, expert_to_rank, rank_to_node
+) -> list[np.ndarray]:
+    """Fold weighted expert outputs into tokens, one source token at a time.
+
+    ``expert_output(rank, token, expert)`` returns the expert's ``[hidden]``
+    output row for that source token.  Each token adds its per-node
+    partials in ascending node order; each partial sums ``y * w`` over the
+    token's experts on that node in ascending expert order; every sum
+    starts from ``+0.0``.  This is the association order every dispatch
+    kind promises, written without plans, permutations or folds.
+    """
+    outputs = []
+    for rank, (pft, num_tokens) in enumerate(zip(pfts, num_tokens_per_rank)):
+        routed: dict[int, dict[int, list]] = {}
+        for t, e, w in zip(pft.token_ids, pft.expert_ids, pft.combine_weights):
+            node = int(rank_to_node[expert_to_rank[e]])
+            routed.setdefault(int(t), {}).setdefault(node, []).append((int(e), w))
+        out = np.zeros((num_tokens, hidden))
+        for token, by_node in routed.items():
+            total = np.zeros(hidden)
+            for node in sorted(by_node):
+                partial = np.zeros(hidden)
+                for e, w in sorted(by_node[node]):
+                    partial = partial + expert_output(rank, token, e) * w
+                total = total + partial
+            out[token] = total
+        outputs.append(out)
+    return outputs

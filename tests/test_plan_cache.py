@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm import CommWorld
 from repro.routing import (
     ROUTER_POLICY_NAMES,
+    ExecProgram,
     PlanCache,
     decision_fingerprint,
     make_dispatcher,
@@ -261,6 +262,68 @@ class TestPlanCacheMechanics:
         assert sig.matches(other) and sig.structure_matches(other)
         other.scores[0] += 1.0  # same digests recorded, different payload
         assert not sig.matches(other)
+
+
+# ----------------------------------------------------------------------
+# The fused executor compiles on first reuse, never on a cold step
+# ----------------------------------------------------------------------
+class TestLazyCompile:
+    def _pair(self, kind="rbd"):
+        num_ranks, experts = 4, 8
+        policy, base = _policy_and_batches(
+            "softmax-topk", num_ranks=num_ranks, tokens=16, hidden=8,
+            experts=experts, top_k=2, seed=11,
+        )
+        warm, cold = _runtime_pair(policy, kind, num_ranks, experts, seed=11)
+        return warm, cold, base
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cold_step_keeps_templates_and_first_hit_compiles(self, kind):
+        warm, cold, base = self._pair(kind)
+        first = warm.run_step([b.copy() for b in base], step=0)
+        (entry,) = warm.plan_cache._entries.values()
+        assert first.trace.cache_outcome == "miss" and not first.trace.fused
+        assert entry.exec_program is None
+        assert entry.comm_events
+
+        events_before = len(warm.dispatcher.group.world.stats.events)
+        hit = warm.run_step([b.copy() for b in base], step=0)
+        assert hit.trace.cache_outcome == "hit" and hit.trace.fused
+        assert entry.exec_program is not None
+        replayed = warm.dispatcher.group.world.stats.events[events_before:]
+        assert tuple(replayed) == entry.comm_events
+        _assert_step_equal(hit, cold.run_step([b.copy() for b in base], step=0), kind)
+
+    def test_weight_patch_inherits_templates(self):
+        warm, cold, base = self._pair()
+        warm.run_step([b.copy() for b in base], step=0)
+        noisy = [b + 1e-9 * np.random.default_rng(2).normal(size=b.shape) for b in base]
+        patched = warm.run_step([b.copy() for b in noisy], step=0)
+        assert patched.trace.cache_outcome == "weight_patch" and patched.trace.fused
+        source, entry = warm.plan_cache._entries.values()
+        assert entry.comm_events is source.comm_events
+        assert entry.exec_program.groups is source.exec_program.groups
+        _assert_step_equal(
+            patched, cold.run_step([b.copy() for b in noisy], step=0), "weight_patch"
+        )
+
+    def test_never_hitting_cache_never_compiles(self, monkeypatch):
+        builds = []
+        original = ExecProgram.build.__func__
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ExecProgram, "build", classmethod(counting_build))
+        warm, _, base = self._pair()
+        rng = np.random.default_rng(4)
+        for step in range(4):
+            fresh = [rng.normal(size=b.shape) for b in base]
+            assert warm.run_step(fresh, step=step).trace.cache_outcome == "miss"
+        assert builds == []
+        warm.run_step(fresh, step=3)
+        assert builds == [1]
 
 
 # ----------------------------------------------------------------------
